@@ -13,13 +13,25 @@ Two independent algorithms:
 Conventions: the **Z-distance** is the minimum weight of a Z-type logical
 operator; Z errors are detected by **X-type** stabilizers.  Symmetrically
 for the X-distance.  The full code distance is ``min(dX, dZ)``.
+
+Two invariants make :func:`graph_distance` one sparse-graph call:
+
+* **Unit weights.**  Every edge of the doubled detection graph is one
+  data qubit, so path lengths are hop counts: an unweighted search over
+  a CSR matrix gives the exact distance, and one
+  ``scipy.sparse.csgraph.shortest_path`` call serves every source at
+  once.
+* **Crossing-edge sources.**  A minimum odd-crossing closed walk uses at
+  least one crossing edge.  Started at that edge's endpoint ``u`` it is
+  a ``(u, 0) → (u, 1)`` path of the same length, so the minimum over the
+  endpoints of crossing edges equals the minimum over all vertices, and
+  a code without crossing edges has no logical cycle.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-import networkx as nx
 import numpy as np
 
 from repro.codes.subsystem import SubsystemCode
@@ -74,49 +86,64 @@ def brute_force_distance(code: SubsystemCode, logical_basis: str) -> int:
     return best
 
 
-def detection_graph(code: SubsystemCode, logical_basis: str) -> nx.MultiGraph:
-    """Matching graph of detecting-basis stabilizers.
+def graph_distance(code: SubsystemCode, logical_basis: str) -> int:
+    """Dressed distance via minimum-weight odd ``crossing`` cycle.
 
-    Vertices are the detecting-basis stabilizer generators plus a single
-    virtual ``"boundary"`` vertex.  Each data qubit becomes an edge joining
-    the generators whose support contains it (or the boundary when it is
-    contained in exactly one).  Edges carry:
+    The detection graph has one vertex per detecting-basis stabilizer
+    generator plus a virtual boundary vertex; each data qubit is an edge
+    joining the generators whose support contains it (or the boundary
+    when exactly one does).  A qubit is a *crossing* edge when it lies in
+    the support of the tracked opposite-basis logical.
 
-    * ``qubit`` — the data qubit label,
-    * ``crossing`` — 1 when the qubit lies in the support of the tracked
-      opposite-basis logical operator (used to tell logical cycles from
-      stabilizer-product cycles).
+    A ``logical_basis`` error chain is undetectable iff the corresponding
+    edge set has even degree at every real vertex (boundary degree is
+    unconstrained).  Such a chain is a logical operator iff it
+    anticommutes with the opposite logical, i.e. it uses an odd number of
+    crossing edges.  The minimum-weight odd cycle is found in the
+    standard doubled graph, where crossing edges change layer: it is the
+    shortest ``(v, 0) → (v, 1)`` path over ``v`` (see the module
+    docstring for why one unweighted search from the crossing-edge
+    endpoints suffices).
+
+    Raises ``ValueError`` when the code has no ``logical_basis`` logical
+    cycle (callers such as :func:`repro.eval.yield_rate` count that as a
+    destroyed patch), when a qubit lies in more than two detecting
+    generators (non-graphlike code), and when the opposite logical passes
+    through a qubit no detecting generator touches.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     det_basis = _DETECTING_BASIS[logical_basis]
     opposite_logical = code.logical_x if logical_basis == "Z" else code.logical_z
     cross_support = (
         opposite_logical.x_support if det_basis == "X" else opposite_logical.z_support
     )
 
-    generators = [
-        (name, gen.pauli)
-        for name, gen in code.stabilizers.items()
-        if gen.basis == det_basis
-    ]
-    graph = nx.MultiGraph()
-    graph.add_node("boundary")
-    for name, _ in generators:
-        graph.add_node(name)
-
+    # Vertex 0 is the boundary; detecting generators follow in dict order.
     incidence: dict = {q: [] for q in code.data_qubits}
-    for name, pauli in generators:
-        support = pauli.x_support if det_basis == "X" else pauli.z_support
+    n = 1
+    for gen in code.stabilizers.values():
+        if gen.basis != det_basis:
+            continue
+        support = gen.pauli.x_support if det_basis == "X" else gen.pauli.z_support
         for q in support:
             if q in incidence:
-                incidence[q].append(name)
+                incidence[q].append(n)
+        n += 1
 
-    for q, names in incidence.items():
+    heads: list[int] = []
+    tails: list[int] = []
+    flips: list[int] = []
+    for q, ends in incidence.items():
         crossing = 1 if q in cross_support else 0
-        if len(names) == 2:
-            graph.add_edge(names[0], names[1], qubit=q, crossing=crossing)
-        elif len(names) == 1:
-            graph.add_edge(names[0], "boundary", qubit=q, crossing=crossing)
-        elif len(names) == 0:
+        if len(ends) == 2:
+            heads.append(ends[0])
+            tails.append(ends[1])
+        elif len(ends) == 1:
+            heads.append(ends[0])
+            tails.append(0)
+        elif len(ends) == 0:
             # Gauge qubit: no detecting stabilizer touches it, so errors on
             # it are pure gauge and never affect the logical.  The tracked
             # logical representative must have been rerouted off such
@@ -127,54 +154,30 @@ def detection_graph(code: SubsystemCode, logical_basis: str) -> nx.MultiGraph:
                     f"qubit {q}; reroute the logical before computing "
                     "distance"
                 )
+            continue
         else:
             raise ValueError(
-                f"qubit {q} is in {len(names)} {det_basis}-stabilizers; "
+                f"qubit {q} is in {len(ends)} {det_basis}-stabilizers; "
                 "the matching-graph distance requires <= 2 "
                 "(non-graphlike code)"
             )
-    return graph
+        flips.append(crossing)
 
-
-def graph_distance(code: SubsystemCode, logical_basis: str) -> int:
-    """Dressed distance via minimum-weight odd ``crossing`` cycle.
-
-    A ``logical_basis`` error chain is undetectable iff the corresponding
-    edge set has even degree at every real vertex (boundary degree is
-    unconstrained).  Such a chain is a logical operator iff it
-    anticommutes with the opposite logical, i.e. its total ``crossing``
-    label is odd.  The minimum-weight odd cycle is found in the standard
-    doubled graph: layer changes on crossing edges, shortest path from
-    ``(v, 0)`` to ``(v, 1)``.
-
-    Returns ``0`` for a code with no remaining logical (should not occur)
-    and raises when the code is non-graphlike.
-    """
-    graph = detection_graph(code, logical_basis)
-
-    doubled = nx.Graph()
-    for u, v, data in graph.edges(data=True):
-        flip = data["crossing"]
-        for layer in (0, 1):
-            a = (u, layer)
-            b = (v, layer ^ flip)
-            w = 1
-            if doubled.has_edge(a, b):
-                continue  # parallel edges of equal weight are redundant
-            doubled.add_edge(a, b, weight=w)
-
+    # Doubled graph: vertex (v, layer) is v + layer * n, and an edge
+    # (u, v) joins (u, layer) to (v, layer ^ crossing).
+    u = np.array(heads, dtype=np.intp)
+    v = np.array(tails, dtype=np.intp)
+    flip = np.array(flips, dtype=np.intp)
+    rows = np.concatenate([u, u + n])
+    cols = np.concatenate([v + flip * n, v + (1 - flip) * n])
+    doubled = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+    sources = np.unique(np.concatenate([u[flip == 1], v[flip == 1]]))
     best = np.inf
-    for node in graph.nodes:
-        source, target = (node, 0), (node, 1)
-        if source not in doubled or target not in doubled:
-            continue
-        try:
-            length = nx.shortest_path_length(
-                doubled, source, target, weight="weight"
-            )
-        except nx.NetworkXNoPath:
-            continue
-        best = min(best, length)
+    if sources.size:
+        dist = shortest_path(
+            doubled, method="D", directed=False, unweighted=True, indices=sources
+        )
+        best = dist[np.arange(sources.size), sources + n].min()
     if np.isinf(best):
         raise ValueError(f"no {logical_basis} logical cycle found")
     return int(best)

@@ -29,7 +29,7 @@ from dataclasses import replace
 from repro.codes import Check
 from repro.codes.subsystem import SubsystemCode
 from repro.deform.gauge import reroute_logical_off, s2s_merge, stabilizers_containing
-from repro.pauli import PauliOp, commutes
+from repro.pauli import PauliOp, commutes, overlap_index
 from repro.surface.lattice import Coord, is_data_coord, is_face_coord
 from repro.surface.patch import SurfacePatch, rotated_rect_patch
 
@@ -76,11 +76,14 @@ def _purge_anticommuting_checks(code: SubsystemCode) -> None:
     Measuring such an operator would randomise the stabilizer it
     anticommutes with; the boundary-deformation instructions sacrifice
     these checks deliberately.  It is an internal error for a purged check
-    to still appear in a stabilizer decomposition.
+    to still appear in a stabilizer decomposition.  Only generators
+    sharing a qubit with a check can anticommute with it.
     """
     stab_paulis = [g.pauli for g in code.stabilizers.values()]
+    sharing = overlap_index(stab_paulis)
     for name, check in list(code.checks.items()):
-        if all(commutes(check.pauli, s) for s in stab_paulis):
+        nearby = {j for q in check.pauli.support for j in sharing.get(q, ())}
+        if all(commutes(check.pauli, stab_paulis[j]) for j in nearby):
             continue
         for gen in code.stabilizers.values():
             if name in gen.measured_via:

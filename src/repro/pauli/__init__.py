@@ -1,5 +1,5 @@
 """Pauli operators in binary-symplectic representation."""
 
-from repro.pauli.pauli import PauliOp, commutes, symplectic_product
+from repro.pauli.pauli import PauliOp, commutes, overlap_index, symplectic_product
 
-__all__ = ["PauliOp", "commutes", "symplectic_product"]
+__all__ = ["PauliOp", "commutes", "overlap_index", "symplectic_product"]

@@ -22,7 +22,7 @@ Qubit = Hashable
 
 _VALID = {"I", "X", "Y", "Z"}
 
-__all__ = ["PauliOp", "commutes", "symplectic_product"]
+__all__ = ["PauliOp", "commutes", "overlap_index", "symplectic_product"]
 
 
 class PauliOp:
@@ -192,3 +192,17 @@ def symplectic_product(a: PauliOp, b: PauliOp) -> int:
 def commutes(a: PauliOp, b: PauliOp) -> bool:
     """Convenience wrapper for ``a.commutes_with(b)``."""
     return symplectic_product(a, b) == 0
+
+
+def overlap_index(ops: Iterable[PauliOp]) -> dict[Qubit, list[int]]:
+    """Qubit → positions of the ``ops`` acting on it, in ascending order.
+
+    Operators on disjoint supports always commute, so a commutation scan
+    against ``ops`` only needs the positions listed under the qubits of
+    the probe's support; every other operator commutes with it.
+    """
+    index: dict[Qubit, list[int]] = {}
+    for position, op in enumerate(ops):
+        for q in op.support:
+            index.setdefault(q, []).append(position)
+    return index

@@ -1,5 +1,5 @@
 # virtual-path: src/repro/layout/ok_import.py
-# networkx is allowed outside src/repro/decode/ (layout, codes).
+# networkx is allowed outside src/repro/{decode,codes,deform}/ (layout).
 import networkx as nx
 
 

@@ -79,6 +79,11 @@ class TestSeededFixtures:
         # rule regression can't hide behind another rule's findings.
         assert set(by_rule) == {code}, findings
 
+    def test_rep001_covers_codes(self):
+        findings = fixture_findings("rep001_fail_codes.py")
+        assert [f.rule for f in findings] == ["REP001", "REP001"], findings
+        assert findings[0].render().startswith("src/repro/codes/bad_distance.py:3:")
+
     @pytest.mark.parametrize("code", RULE_CODES)
     def test_pass_fixture_is_clean(self, code):
         name = f"{code.lower()}_pass.py"
@@ -120,6 +125,8 @@ class TestSuppressions:
     def test_rules_scope_by_path(self):
         source = "import networkx as nx\n"
         assert check_source(source, "src/repro/decode/x.py", ALL_RULES) != []
+        assert check_source(source, "src/repro/codes/x.py", ALL_RULES) != []
+        assert check_source(source, "src/repro/deform/x.py", ALL_RULES) != []
         assert check_source(source, "src/repro/layout/x.py", ALL_RULES) == []
         assert check_source(source, "tests/test_x.py", ALL_RULES) == []
 

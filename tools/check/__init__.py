@@ -7,7 +7,8 @@ and the rule that every durable write goes through ``repro.store``.
 ``tools.check`` encodes those invariants as machine-checked rules:
 
 ==========  ==========================================================
-``REP001``  no ``networkx`` import under ``src/repro/decode/``
+``REP001``  no ``networkx`` import under ``src/repro/decode/``,
+            ``src/repro/codes/`` or ``src/repro/deform/``
 ``REP002``  durable writes route through ``repro.store.atomic``
 ``REP003``  no global-state RNG in ``src/repro`` (``Generator``/
             ``SeedSequence`` plumbing only)
@@ -15,6 +16,9 @@ and the rule that every durable write goes through ``repro.store``.
             ordered decode computation
 ``REP005``  no ``pickle.load`` outside the checksum-verified store path
 ``REP006``  no wall-clock-derived seeds or fork-unsafe pool primitives
+``REP007``  no axis-0 ``np.unique`` on byte-wide syndrome rows in
+            ``src/repro/decode/`` (dedup on packed words)
+``REP008``  worker-count parameters are spelled ``workers=``
 ==========  ==========================================================
 
 Run it over the tree with ``python -m tools.check src/ tests/

@@ -26,44 +26,41 @@ def _is_call_to(node: ast.AST, names: frozenset[str]) -> bool:
     )
 
 
-class NoNetworkxInDecode(Rule):
-    """REP001 — the decode hot path owns its graph code.
+class NoNetworkxInHotPaths(Rule):
+    """REP001 — the decode and deformation hot paths own their graph code.
 
     PR 3 removed ``networkx`` from ``src/repro/decode/`` (the owned
-    blossom engine is ~4x faster and deterministically tie-broken); a
-    reintroduced import would silently re-add per-call generality cost
-    and nondeterministic iteration order to the hottest loop in the
-    repo.  ``layout/`` and ``codes/`` may still use networkx.
+    blossom engine is ~4x faster and deterministically tie-broken).  The
+    deformation layer followed: ``codes/distance.py`` computes code
+    distance with one ``scipy.sparse.csgraph`` search instead of a
+    networkx Dijkstra per vertex, and Algorithm 1 calls it for every
+    candidate it scores.  A reintroduced import would silently re-add
+    per-call generality cost to those loops.  ``layout/`` may still use
+    networkx.
     """
 
     code = "REP001"
-    summary = "no networkx import under src/repro/decode/"
+    summary = "no networkx import under src/repro/{decode,codes,deform}/"
+    prefixes = ("src/repro/decode/", "src/repro/codes/", "src/repro/deform/")
+    message = (
+        "networkx import in a hot path; decode/ has its own engines "
+        "(decode/blossom.py, decode/graph.py) and codes/ uses "
+        "scipy.sparse.csgraph — keep oracle comparisons in tests/"
+    )
 
     def applies(self, relpath: str) -> bool:
-        return relpath.startswith("src/repro/decode/")
+        return relpath.startswith(self.prefixes)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".", 1)[0] == "networkx":
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "networkx import in the decode hot path; the owned "
-                            "engines (decode/blossom.py, decode/graph.py) replace "
-                            "it — keep oracle comparisons in tests/",
-                        )
+                        yield self.finding(ctx, node, self.message)
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 if node.level == 0 and module.split(".", 1)[0] == "networkx":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "networkx import in the decode hot path; the owned "
-                        "engines (decode/blossom.py, decode/graph.py) replace "
-                        "it — keep oracle comparisons in tests/",
-                    )
+                    yield self.finding(ctx, node, self.message)
 
 
 class DurableWritesThroughStore(Rule):
@@ -504,7 +501,7 @@ class CanonicalWorkerSpelling(Rule):
 
 
 ALL_RULES: tuple[Rule, ...] = (
-    NoNetworkxInDecode(),
+    NoNetworkxInHotPaths(),
     DurableWritesThroughStore(),
     NoGlobalStateRng(),
     StableOrderInDecode(),
