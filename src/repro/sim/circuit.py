@@ -19,7 +19,10 @@ Supported operations (all the paper's experiments need):
 
 Qubits are dense integer indices; the syndrome-circuit generator keeps a
 coordinate↔index map.  Measurement indices are absolute (0-based in
-program order), which keeps detector bookkeeping simple.
+program order), which keeps detector bookkeeping simple.  ``H``, ``CX``
+and the noise channels must name each qubit at most once per
+instruction (their targets act in parallel); ``R``/``RX``/``M``/``MX``
+may repeat one.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ _GATES_1Q = {"H", "R", "RX", "M", "MX", "X_ERROR", "Z_ERROR", "DEPOLARIZE1"}
 _GATES_2Q = {"CX", "DEPOLARIZE2"}
 _ANNOTATIONS = {"DETECTOR", "OBSERVABLE"}
 _NOISE = {"X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"}
+#: Instructions whose targets the engines update in one vectorised
+#: step; a qubit named twice would silently lose an update.
+_DISTINCT_TARGETS = {"H", "CX", *_NOISE}
 
 __all__ = ["Circuit", "CompiledCircuit", "CompiledOp", "Instruction", "GateTarget"]
 
@@ -57,9 +63,9 @@ class CompiledOp:
     ``DEPOLARIZE2`` the (first, second) qubits of each pair; other ops
     use only ``targets``.  ``position`` is the instruction index of the
     first fused instruction (noise ops are never fused, so a noise op's
-    ``position`` is exactly its instruction index — the anchor used for
-    fault-injection scheduling).  ``m_start`` is the absolute record
-    index written by a measurement op.
+    ``position`` is exactly its instruction index — the key of its
+    pre-drawn noise mask).  ``m_start`` is the absolute record index
+    written by a measurement op.
     """
 
     kind: str
@@ -95,12 +101,10 @@ class CompiledCircuit:
       reference the all-zero dummy record row ``num_measurements``, so
       every CSR group is non-empty.
 
-    ``op_positions`` is the (sorted) original instruction index of each
-    op, used to schedule Pauli injections "before instruction ``pos``"
-    onto the fused stream.  ``noise_slots``/``noise_probs`` tabulate the
-    per-shot Bernoulli trial count and probability of every noise op
-    (indexed by ``CompiledOp.noise_slot``), so a sampler can draw all
-    Binomial flip counts for a run in one vectorised call.
+    ``noise_slots``/``noise_probs`` tabulate the per-shot Bernoulli
+    trial count and probability of every noise op (indexed by
+    ``CompiledOp.noise_slot``), so a sampler can draw all Binomial flip
+    counts for a run in one vectorised call.
     """
 
     num_qubits: int
@@ -108,7 +112,6 @@ class CompiledCircuit:
     num_detectors: int
     num_observables: int
     ops: tuple[CompiledOp, ...]
-    op_positions: np.ndarray
     det_indices: np.ndarray
     det_offsets: np.ndarray
     obs_indices: np.ndarray
@@ -221,7 +224,6 @@ def compile_circuit(circuit: "Circuit") -> CompiledCircuit:
         num_detectors=circuit.num_detectors,
         num_observables=circuit.num_observables,
         ops=tuple(ops),
-        op_positions=np.asarray([op.position for op in ops], dtype=np.intp),
         det_indices=det_indices,
         det_offsets=det_offsets,
         obs_indices=obs_indices,
@@ -272,6 +274,12 @@ class Circuit:
                 raise ValueError(f"{name} needs an even number of targets")
         elif name not in _GATES_1Q and name not in _ANNOTATIONS:
             raise ValueError(f"unknown instruction {name!r}")
+        if name in _DISTINCT_TARGETS and len(set(targets)) < len(targets):
+            repeated = next(q for q in targets if targets.count(q) > 1)
+            raise ValueError(
+                f"{name} names qubit {repeated} more than once; "
+                "split it into separate instructions"
+            )
         if name in _ANNOTATIONS:
             for t in targets:
                 if t >= self.num_measurements:
@@ -351,15 +359,6 @@ class Circuit:
         program = compile_circuit(self)
         self._compiled = (len(self.instructions), program)
         return program
-
-    def noise_instructions(self) -> list[tuple[int, Instruction]]:
-        """(position, instruction) of every stochastic channel."""
-        return [
-            (i, inst)
-            for i, inst in enumerate(self.instructions)
-            if inst.name in ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
-            and inst.arg > 0
-        ]
 
     def __len__(self) -> int:
         return len(self.instructions)

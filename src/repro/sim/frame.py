@@ -30,12 +30,9 @@ Two engines implement that propagation:
   and then agree bit-for-bit, which is how the equivalence is pinned by
   ``tests/test_sim_packed.py``.
 
-The packed engine also powers deterministic fault propagation for DEM
-extraction: :func:`propagate_injections_packed` assigns one *elementary
-basis injection* (an ``X_q`` or ``Z_q`` inserted before a given
-instruction) to each bit column and propagates all of them in one pass
-— see :mod:`repro.sim.dem` for how mechanism signatures are composed
-from those columns by GF(2) linearity.
+Both engines apply all targets of an instruction in one vectorised
+update, so :meth:`~repro.sim.circuit.Circuit.append` rejects an ``H``,
+``CX`` or noise instruction that names a qubit twice.
 """
 
 from __future__ import annotations
@@ -45,11 +42,7 @@ import numpy as np
 from repro.sim.circuit import Circuit, CompiledCircuit
 from repro.utils.gf2 import PackedBits, gf2_pack, gf2_unpack, gf2_xor_csr
 
-__all__ = [
-    "FrameSampler",
-    "sample_detectors",
-    "propagate_injections_packed",
-]
+__all__ = ["FrameSampler", "sample_detectors"]
 
 #: Channels at or above this probability generate dense masks; below it
 #: flips are Binomial-sampled and scattered bit by bit (both exact).
@@ -107,16 +100,13 @@ class _PackedEngine:
         *,
         rng: np.random.Generator | None = None,
         masks: dict[int, np.ndarray] | None = None,
-        injections: dict[int, list[tuple[str, np.ndarray, np.ndarray]]] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Execute the program; returns packed (detectors, observables).
 
         Noise is drawn from ``rng``, read from pre-drawn ``masks``
         (instruction position → choice array, see
         :meth:`FrameSampler.draw_masks`), or skipped entirely when both
-        are ``None`` (deterministic propagation).  ``injections`` maps
-        an op index to ``(plane, qubit_rows, bit_columns)`` Pauli
-        injections applied before that op executes.
+        are ``None`` (deterministic propagation).
         """
         x, z = self.x, self.z
         records = self.records
@@ -134,10 +124,7 @@ class _PackedEngine:
             self._flip_counts = counts
             self._uniform = rng.random(int(offsets[-1]))
             self._uniform_offsets = offsets
-        for i, op in enumerate(self.program.ops):
-            if injections is not None:
-                for plane_name, rows, bits in injections.get(i, ()):
-                    _scatter_bits(x if plane_name == "X" else z, rows, bits)
+        for op in self.program.ops:
             kind = op.kind
             if kind == "CX1":
                 xor(x[op.t2], x[op.t1], out=x[op.t2])
@@ -486,102 +473,6 @@ class FrameSampler:
             else:  # pragma: no cover - guarded by Circuit.append
                 raise ValueError(f"unknown instruction {name}")
         return detectors, observables
-
-    def propagate_mechanisms(
-        self, injections: list[tuple[int, dict[int, str]]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministically propagate one Pauli injection per pseudo-shot.
-
-        ``injections[k] = (position, {qubit: 'X'|'Y'|'Z'})`` injects the
-        given Pauli immediately *at* instruction index ``position`` (i.e.
-        before the instruction at that index executes) in pseudo-shot
-        ``k``, with all stochastic channels disabled.  Returns the flipped
-        detectors/observables per pseudo-shot — the rows of the detector
-        error model.  This is the unpacked reference path; the packed DEM
-        builder uses :func:`propagate_injections_packed` instead.
-        """
-        c = self.circuit
-        shots = len(injections)
-        x = np.zeros((shots, c.num_qubits), dtype=np.uint8)
-        z = np.zeros((shots, c.num_qubits), dtype=np.uint8)
-        records = np.zeros((shots, c.num_measurements), dtype=np.uint8)
-        detectors = np.zeros((shots, c.num_detectors), dtype=np.uint8)
-        observables = np.zeros((shots, c.num_observables), dtype=np.uint8)
-        by_position: dict[int, list[tuple[int, dict[int, str]]]] = {}
-        for k, (pos, pauli) in enumerate(injections):
-            by_position.setdefault(pos, []).append((k, pauli))
-        m_idx = d_idx = o_idx = 0
-
-        for i, inst in enumerate(c.instructions):
-            for k, pauli in by_position.get(i, ()):
-                for q, letter in pauli.items():
-                    if letter in ("X", "Y"):
-                        x[k, q] ^= 1
-                    if letter in ("Z", "Y"):
-                        z[k, q] ^= 1
-            name = inst.name
-            t = list(inst.targets)
-            if name == "H":
-                x[:, t], z[:, t] = z[:, t].copy(), x[:, t].copy()
-            elif name == "CX":
-                ctrl, targ = t[0::2], t[1::2]
-                x[:, targ] ^= x[:, ctrl]
-                z[:, ctrl] ^= z[:, targ]
-            elif name in ("R", "RX"):
-                x[:, t] = 0
-                z[:, t] = 0
-            elif name == "M":
-                n = len(t)
-                records[:, m_idx : m_idx + n] = x[:, t]
-                m_idx += n
-            elif name == "MX":
-                n = len(t)
-                records[:, m_idx : m_idx + n] = z[:, t]
-                m_idx += n
-            elif name == "DETECTOR":
-                if t:
-                    detectors[:, d_idx] = records[:, t].sum(axis=1) % 2
-                d_idx += 1
-            elif name == "OBSERVABLE":
-                if t:
-                    observables[:, o_idx] = records[:, t].sum(axis=1) % 2
-                o_idx += 1
-            # Stochastic channels: disabled during propagation.
-        return detectors, observables
-
-
-def propagate_injections_packed(
-    circuit: Circuit, injections: list[tuple[int, int, str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate elementary basis injections, one per bit column.
-
-    ``injections[j] = (position, qubit, 'X'|'Z')`` injects that
-    single-qubit Pauli before instruction ``position`` into bit column
-    ``j``, with all stochastic channels disabled.  Returns packed
-    ``(num_detectors, ceil(len(injections)/64))`` and matching
-    observable word arrays: bit ``j`` of a row marks that injection
-    flipping that detector/observable.
-
-    Positions are anchored onto the compiled op stream with a binary
-    search ("first op at or after ``position``"), which is exact for
-    injections at noise-channel positions (noise ops are never fused).
-    """
-    program = circuit.compiled()
-    by_op: dict[int, list[tuple[str, np.ndarray, np.ndarray]]] = {}
-    if injections:
-        positions = np.asarray([pos for pos, _, _ in injections])
-        op_of = np.searchsorted(program.op_positions, positions, side="left")
-        grouped: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
-        for j, ((_, qubit, basis), op_i) in enumerate(zip(injections, op_of, strict=True)):
-            rows, bits = grouped.setdefault((int(op_i), basis), ([], []))
-            rows.append(qubit)
-            bits.append(j)
-        for (op_i, basis), (rows, bits) in grouped.items():
-            by_op.setdefault(op_i, []).append(
-                (basis, np.asarray(rows, dtype=np.intp), np.asarray(bits))
-            )
-    engine = _PackedEngine(program, len(injections))
-    return engine.run(injections=by_op)
 
 
 def sample_detectors(

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dem_oracle import expand_channels
 from repro.sim import Circuit, FrameSampler, NoiseModel, build_dem, memory_circuit
-from repro.sim.dem import _expand_channels
 from repro.surface import rotated_surface_code
 
 
@@ -40,6 +40,53 @@ class TestCircuit:
         c = Circuit()
         c.x_error(0.0, 0)
         assert len(c) == 0
+
+    @pytest.mark.parametrize(
+        "name, targets, repeated",
+        [
+            ("H", (3, 3), 3),
+            ("CX", (0, 1, 0, 2), 0),  # control reused by a second pair
+            ("CX", (0, 1, 1, 2), 1),  # target of one pair, control of the next
+            ("CX", (2, 2), 2),
+            ("X_ERROR", (1, 2, 1), 1),
+            ("Z_ERROR", (1, 1), 1),
+            ("DEPOLARIZE1", (0, 4, 4), 4),
+            ("DEPOLARIZE2", (0, 1, 2, 1), 1),
+            ("DEPOLARIZE2", (5, 5), 5),
+        ],
+    )
+    def test_repeated_qubit_rejected(self, name, targets, repeated):
+        """Targets act in parallel: a qubit named twice would lose an update."""
+        c = Circuit()
+        with pytest.raises(ValueError, match=f"{name} names qubit {repeated} "):
+            c.append(name, targets, 1e-3)
+        assert len(c) == 0
+
+    @pytest.mark.parametrize("name", ["M", "MX", "R", "RX"])
+    def test_measure_and_reset_accept_repeated_qubit(self, name):
+        c = Circuit()
+        c.append(name, (0, 1, 0))
+        assert len(c) == 1
+
+    def test_split_cnots_apply_sequentially(self):
+        """``CX 0 1 0 2`` as two instructions: Z errors on 1 and 2 both
+        reach the control, as in sequential (Stim) order."""
+
+        def fan_in(p):
+            c = Circuit()
+            c.reset_x(0)
+            c.reset(1, 2)
+            c.append("Z_ERROR", (1, 2), p)
+            c.cx(0, 1)
+            c.cx(0, 2)
+            (rec,) = c.measure_x(0)
+            c.detector([rec])
+            return c
+
+        det, _ = FrameSampler(fan_in(1.0), seed=0).sample(64)
+        assert not det.any()  # the two Z errors cancel on the control
+        (m,) = build_dem(fan_in(1e-3)).mechanisms
+        assert m.probability == pytest.approx(2 * 1e-3 * (1 - 1e-3), abs=1e-15)
 
 
 class TestFrameSampler:
@@ -123,7 +170,7 @@ class TestDEM:
         c.depolarize1(0.1, 0)
         c.depolarize2(0.1, 0, 1)
         c.measure(0, 1)
-        assert len(_expand_channels(c)) == 1 + 3 + 15
+        assert len(expand_channels(c)) == 1 + 3 + 15
 
     def test_mechanism_probabilities_merge(self):
         c = Circuit()

@@ -1,14 +1,19 @@
 """Packed-engine equivalence tests: compiled circuits, bitplane frames,
-linearity-composed DEMs, and the eval-layer decoder cache.
+backward-pass DEMs, and the eval-layer decoder cache.
 
-The packed engine must be *exactly* interchangeable with the unpacked
-reference: identical DEMs mechanism-for-mechanism, bit-identical samples
-under a shared pre-drawn noise mask, and correct round-trips for ragged
-shot counts (shots % 64 != 0).
+The fast paths must be *exactly* interchangeable with their references:
+DEMs identical mechanism-for-mechanism to the per-mechanism oracle in
+``tests/dem_oracle.py`` (on hand-built, random and deformed-code
+circuits), bit-identical samples under a shared pre-drawn noise mask,
+and correct round-trips for ragged shot counts (shots % 64 != 0).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deform_oracles import deformed_corpus
+from dem_oracle import per_mechanism_dem
 from repro.deform import data_q_rm, syndrome_q_rm
 from repro.eval import montecarlo as mc
 from repro.sim import Circuit, FrameSampler, NoiseModel, build_dem, memory_circuit
@@ -47,21 +52,70 @@ def deformed_patch():
     return patch
 
 
-def assert_same_dem(circuit):
-    legacy = build_dem(circuit, method="legacy")
-    packed = build_dem(circuit)
-    assert packed.num_detectors == legacy.num_detectors
-    assert packed.num_observables == legacy.num_observables
-    assert packed.dropped_hyperedges == legacy.dropped_hyperedges
-    assert len(packed.mechanisms) == len(legacy.mechanisms)
-    for got, want in zip(packed.mechanisms, legacy.mechanisms, strict=True):
+def assert_same_dem(circuit, merge=True):
+    want_dem = per_mechanism_dem(circuit, merge=merge)
+    got_dem = build_dem(circuit, merge=merge)
+    assert got_dem.num_detectors == want_dem.num_detectors
+    assert got_dem.num_observables == want_dem.num_observables
+    assert got_dem.dropped_hyperedges == want_dem.dropped_hyperedges
+    assert len(got_dem.mechanisms) == len(want_dem.mechanisms)
+    for got, want in zip(got_dem.mechanisms, want_dem.mechanisms, strict=True):
         assert got.detectors == want.detectors
         assert got.observable_flip == want.observable_flip
         assert got.probability == pytest.approx(want.probability, abs=1e-12)
 
 
+_GATES = ("H", "CX", "R", "RX", "M", "MX")
+_CHANNELS = ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
+
+
+@st.composite
+def random_circuits(draw):
+    """Every instruction kind in runs of 1–3 (so the compiler fuses
+    M/MX/R/H runs), single- and multi-target forms, measure/reset
+    targets that repeat, p = 0 channels, empty detectors, repeated
+    records and 0–2 observables.  Every qubit is read out at the end,
+    so most faults reach a record."""
+    n = draw(st.integers(2, 5))
+    qubit = st.integers(0, n - 1)
+    c = Circuit()
+
+    def annotate(kind):
+        records = []
+        if c.num_measurements:
+            record = st.integers(0, c.num_measurements - 1)
+            records = draw(st.lists(record, max_size=4))
+        c.append(kind, records)
+
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from((*_GATES, *_CHANNELS, "DETECTOR", "OBSERVABLE")))
+        for _ in range(draw(st.integers(1, 3))):
+            if kind in ("DETECTOR", "OBSERVABLE"):
+                if kind == "DETECTOR" or c.num_observables < 2:
+                    annotate(kind)
+                continue
+            if kind in ("CX", "DEPOLARIZE2"):
+                qs = draw(st.lists(qubit, min_size=2, max_size=n, unique=True))
+                qs = qs[: len(qs) - len(qs) % 2]
+            elif kind in ("R", "RX", "M", "MX"):
+                qs = draw(st.lists(qubit, min_size=1, max_size=n + 2))
+            else:
+                qs = draw(st.lists(qubit, min_size=1, max_size=n, unique=True))
+            arg = 0.0
+            if kind in _CHANNELS:
+                arg = draw(st.sampled_from((0.0, 1e-3, 0.02, 0.1, 0.5)))
+            c.append(kind, qs, arg)
+    for q in range(n):
+        c.append(draw(st.sampled_from(("M", "MX"))), [q])
+    for _ in range(draw(st.integers(1, 5))):
+        annotate("DETECTOR")
+    for _ in range(draw(st.integers(0, 2 - c.num_observables))):
+        annotate("OBSERVABLE")
+    return c
+
+
 class TestDEMAgreement:
-    """Packed basis-injection DEMs == legacy propagate-every-mechanism."""
+    """Backward-pass DEMs == the per-mechanism propagation oracle."""
 
     def test_toy_circuit(self):
         assert_same_dem(toy_circuit())
@@ -98,21 +152,49 @@ class TestDEMAgreement:
         assert_same_dem(circuit)
 
     def test_merge_false_sums_probabilities(self):
-        c = toy_circuit()
-        legacy = build_dem(c, merge=False, method="legacy")
-        packed = build_dem(c, merge=False)
-        for got, want in zip(packed.mechanisms, legacy.mechanisms, strict=True):
-            assert got.detectors == want.detectors
-            assert got.probability == pytest.approx(want.probability, abs=1e-12)
+        assert_same_dem(toy_circuit(), merge=False)
 
     def test_noiseless_circuit(self):
         patch = rotated_surface_code(3)
         c = memory_circuit(patch.code, "Z", 2, NoiseModel.uniform(0.0))
         assert build_dem(c).mechanisms == []
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            build_dem(toy_circuit(), method="quantum")
+    def test_qubit_measured_twice_in_a_row(self):
+        """A fused M op naming one qubit twice feeds both records."""
+        c = Circuit()
+        c.reset(0, 1)
+        c.x_error(0.1, 0)
+        c.depolarize1(0.01, 1)
+        recs = c.measure(0, 1)
+        recs += c.measure(0)
+        c.detector([recs[0]])
+        c.detector([recs[2]])
+        c.detector([recs[1], recs[0]])
+        fused = [op for op in c.compiled().ops if op.kind == "M"]
+        assert [op.targets.tolist() for op in fused] == [[0, 1, 0]]
+        dem = build_dem(c)
+        assert dem.mechanisms[0].detectors == (0, 1, 2)
+        assert_same_dem(c)
+
+    @given(circuit=random_circuits(), merge=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_circuits(self, circuit, merge):
+        assert_same_dem(circuit, merge=merge)
+
+    @pytest.mark.parametrize("merge", [True, False])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_deformed_corpus(self, basis, merge):
+        """d = 3/5 codes of the cosmic-ray corpus (removal, full
+        deformation unit, ASC-S), 2 rounds at p = 1e-3."""
+        codes = [
+            patch.code
+            for name, patch in deformed_corpus()
+            if name.startswith(("d3-", "d5-"))
+        ]
+        assert len(codes) == 43
+        for code in codes:
+            circuit = memory_circuit(code, basis, 2, NoiseModel.uniform(1e-3))
+            assert_same_dem(circuit, merge=merge)
 
 
 class TestSamplerAgreement:
