@@ -10,9 +10,15 @@ Monte-Carlo sample counts are deliberately laptop-sized; set
 ``REPRO_BENCH_SCALE`` (default 1.0) to scale shots/samples up.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.utils.env import env_float
+
+# Reference formulations (tests/decode_oracles.py) serve as baselines.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def bench_scale() -> float:

@@ -16,7 +16,8 @@ standard p = 1e-3 circuit noise:
                   batch pipeline fed packed uint64 detector bitplanes
                   straight from the sampler (no uint8 round-trip) —
                   and ``blossom_legacy``: the seed's per-shot-Dijkstra
-                  path (``use_matrices=False``, no syndrome cache,
+                  formulation (``SeedDecoder`` from
+                  ``tests/decode_oracles.py``, no syndrome cache,
                   matching by the same native engine), which is the
                   baseline the ≥10× acceptance criterion is measured
                   against at d = 7.
@@ -53,8 +54,8 @@ queueing included) alongside decoded-shot throughput.  A non-finite
 p99 (the service never decoded a chunk) fails the run.
 ``--smoke`` is the CI gate: a d = 3 decode tripwire with a small shot
 plan, written to ``BENCH_decode.smoke.json`` so the committed report
-is untouched, exiting nonzero if matrix blossom falls below
-``SMOKE_MIN_SPEEDUP``× the legacy path — plus the matching-engine
+is untouched, exiting nonzero if the blossom pipeline falls below
+``SMOKE_MIN_SPEEDUP``× the seed formulation — plus the matching-engine
 gate, a d = 7, p = 3e-3 slice whose large (>
 :data:`~repro.decode.sparse_match.SPARSE_MIN_DEFECTS`-defect)
 components are matched by both engines, exiting nonzero if the sparse
@@ -101,10 +102,15 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+# The blossom_legacy baseline is the seed formulation, kept as a test
+# oracle in tests/decode_oracles.py.
+sys.path.insert(0, str(_ROOT / "tests"))
 
 import numpy as np
 import scipy
+from decode_oracles import SeedDecoder
 
 from repro.decode import MatchingDecoder
 from repro.store import atomic_write_text
@@ -149,9 +155,9 @@ SERVICE_WORKERS = 2
 SERVICE_MAX_PENDING = 4
 SERVICE_SHOT_PLAN = {3: 256, 5: 128, 7: 64, 9: 32}
 
-#: ``--smoke`` shot plan and regression floor: matrix blossom must stay
-#: at least this many times faster than the legacy path at d = 3, else
-#: the run exits nonzero (the CI perf tripwire).
+#: ``--smoke`` shot plan and regression floor: the blossom pipeline
+#: must stay at least this many times faster than the seed formulation
+#: at d = 3, else the run exits nonzero (the CI perf tripwire).
 SMOKE_SHOT_PLAN = {3: (2000, 500)}
 SMOKE_MIN_SPEEDUP = 2.0
 
@@ -279,7 +285,7 @@ def profile_distance(
         ("blossom_packed", {}, shots),
         ("uf", {"method": "uf"}, shots),
         ("greedy", {"method": "greedy"}, shots),
-        ("blossom_legacy", {"use_matrices": False, "cache_size": 0}, legacy_shots),
+        ("blossom_legacy", {}, legacy_shots),
     ]
     if workers is not None and workers > 1:
         # The sharded path: same decoder, unique syndromes partitioned
@@ -293,7 +299,10 @@ def profile_distance(
         # syndrome LRU cold, measuring the same quantity as one run.
         seconds = float("inf")
         for _ in range(DECODE_REPS):
-            dec = MatchingDecoder(dem, **kwargs)
+            if name == "blossom_legacy":
+                dec = SeedDecoder(dem)
+            else:
+                dec = MatchingDecoder(dem, **kwargs)
             if name.startswith("blossom") and name != "blossom_legacy":
                 dec.graph.ensure_route_tables()  # outside the timed region
             data = packed_detectors if name == "blossom_packed" else detectors[:n]
@@ -419,11 +428,12 @@ def glue_benchmark(distance: int) -> list[dict]:
 def _oversize_components(decoder, detectors):
     """Route arrays of every component past the sparse threshold.
 
-    The same gather + pairable-graph BFS the serial decode path runs,
-    kept here so the smoke gate times the matching engines alone —
-    no caching, deduplication or DP buckets in the timed region.
+    The same gather + pairable-graph BFS the serial per-shot
+    formulation runs, kept here so the smoke gate times the matching
+    engines alone — no caching, deduplication or DP buckets in the
+    timed region.
     """
-    decoder.graph.ensure_route_tables()
+    tables = decoder.graph.ensure_route_tables()
     comps = []
     for row in detectors:
         defects = np.nonzero(row)[0]
@@ -431,9 +441,7 @@ def _oversize_components(decoder, detectors):
         if len(defects) < SPARSE_MIN_DEFECTS:
             continue
         det = defects[None, :]
-        W, use_pair, pairable, P, b_dist, b_par = _gather(
-            decoder.graph, det
-        )
+        W, use_pair, pairable, P, b_dist, b_par = _gather(tables, det)
         k = len(defects)
         unassigned = np.ones(k, dtype=bool)
         for start in range(k):

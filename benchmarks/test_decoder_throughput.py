@@ -2,12 +2,13 @@
 
 The paper's throughput argument assumes decoding keeps up with the
 syndrome stream.  This benchmark times the decode pipeline's method
-series — exact blossom (matrix-backed), union-find, greedy — against
-the seed's per-shot-Dijkstra blossom on one d=5 memory experiment, and
-pins the ordering that makes high-shot Monte-Carlo runs viable: every
-batched method must beat the legacy path by a wide margin, and the
-union-find decoder must stay within an order of magnitude of the
-vectorised exact matcher.
+series — exact blossom (the batch pipeline), union-find, greedy —
+against the seed's per-shot-Dijkstra blossom (``SeedDecoder``, kept as
+a test oracle in ``tests/decode_oracles.py``) on one d=5 memory
+experiment, and pins the ordering that makes high-shot Monte-Carlo runs
+viable: every batched method must beat the seed formulation by a wide
+margin, and the union-find decoder must stay within an order of
+magnitude of the vectorised exact matcher.
 """
 
 import time
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from conftest import scaled
+from decode_oracles import SeedDecoder
 from repro.decode import MatchingDecoder
 from repro.sim import NoiseModel, build_dem, memory_circuit, sample_detectors
 from repro.surface import rotated_surface_code
@@ -46,9 +48,9 @@ def test_decoder_method_throughput(benchmark, table):
         "blossom": MatchingDecoder(dem),
         "uf": MatchingDecoder(dem, method="uf"),
         "greedy": MatchingDecoder(dem, method="greedy"),
-        "blossom_legacy": MatchingDecoder(dem, use_matrices=False, cache_size=0),
+        "blossom_legacy": SeedDecoder(dem),
     }
-    decoders["blossom"].graph.ensure_matrices()
+    decoders["blossom"].graph.ensure_route_tables()
 
     def run():
         rates = {}

@@ -1,10 +1,11 @@
 """Shared batch-first decoder contract.
 
-Every decoder in the package — exact matching, greedy, union-find, and
-the legacy per-shot-Dijkstra formulation — decodes *defect sets* (the
-tuple of fired detector indices below the graph's detector count).
-:class:`Decoder` owns everything around that core so each backend only
-implements :meth:`Decoder._decode_defects`:
+Every decoder in the package — exact matching, greedy and union-find —
+decodes *defect sets* (the tuple of fired detector indices below the
+graph's detector count).  :class:`Decoder` owns everything around that
+core, so a backend implements :meth:`Decoder._decode_misses` (decode a
+list of cache-missing unique sets at once) or, for a per-set
+algorithm, just :meth:`Decoder._decode_defects`:
 
 * **canonicalisation** — ``decode_batch`` accepts a ``(shots,
   detectors)`` uint8 array, a 1-D single shot, or a
@@ -22,19 +23,20 @@ implements :meth:`Decoder._decode_defects`:
 * **syndrome LRU** — decoded predictions are cached keyed on the
   defect tuple; repeat syndromes across batches are dictionary hits.
 * **sharding** — ``workers=N`` forks one worker process per shard of
-  the unique syndromes (copy-on-write graph data, results absorbed
-  into the parent's cache); see :meth:`Decoder._decode_unique_parallel`.
+  the unique syndromes, dealt round-robin (copy-on-write graph data,
+  results absorbed into the parent's cache); see
+  :meth:`Decoder._decode_unique_parallel`.
   The pool is *fault-tolerant*: a worker that crashes, is killed, or
   exceeds :attr:`Decoder.pool_timeout` only forfeits its own shard —
   the parent detects the dead pipe and decodes that shard serially,
   so predictions are identical to the serial path whatever happens to
   the workers, and every forked process is joined on every exit path.
 
-Single-shot :meth:`Decoder.decode` is a thin wrapper over the same
-machinery.  Subclasses may override :meth:`Decoder._decode_misses` to
-decode a list of cache-missing unique syndromes at once — that is the
-hook the vectorised component pipeline (:mod:`repro.decode.batch`)
-plugs into.
+Single-shot :meth:`Decoder.decode` is a batch of one through the same
+machinery, and each forked worker decodes its whole shard with one
+:meth:`Decoder._decode_misses` call, so every path reaches the
+backend's batch entry point — for matching, the vectorised component
+pipeline (:mod:`repro.decode.batch`).
 """
 
 from __future__ import annotations
@@ -85,17 +87,16 @@ _POOL_POLL_INTERVAL = 0.02
 def _shard_worker(shard_index: int, defect_sets, conn) -> None:
     """Decode one shard in a forked child and pipe the bytes back.
 
-    The decoder (graph matrices included) is inherited copy-on-write
-    via ``_POOL_DECODER``; only the result bytes cross the pipe.  Any
-    abnormal end — crash, kill, unpickleable state — simply closes the
-    pipe, which the parent observes as EOF and treats as shard loss.
+    The decoder (whole-graph route tables included) is inherited
+    copy-on-write via ``_POOL_DECODER`` and decodes the shard in one
+    batch call; only the result bytes cross the pipe.  Any abnormal
+    end — crash, kill, unpickleable state — simply closes the pipe,
+    which the parent observes as EOF and treats as shard loss.
     """
     if _WORKER_FAULT is not None:
         _WORKER_FAULT(shard_index)
-    out = bytearray(len(defect_sets))
-    for i, defects in enumerate(defect_sets):
-        out[i] = _POOL_DECODER._decode_cached(defects)
-    conn.send_bytes(bytes(out))
+    out = _POOL_DECODER._decode_misses(defect_sets)
+    conn.send_bytes(np.asarray(out, dtype=np.uint8).tobytes())
     conn.close()
 
 
@@ -142,7 +143,8 @@ class Decoder:
         raise NotImplementedError
 
     def _decode_misses(self, defect_sets: list[tuple[int, ...]]) -> np.ndarray:
-        """Decode cache-missing unique syndromes (override to vectorise)."""
+        """Decode cache-missing unique syndromes; the one entry point
+        every front door reaches (override to vectorise)."""
         return np.fromiter(
             (self._decode_defects(d) for d in defect_sets),
             dtype=np.uint8,
@@ -151,30 +153,16 @@ class Decoder:
 
     # -- single-shot front door ----------------------------------------
     def decode(self, detector_sample: np.ndarray) -> int:
-        """Predicted observable flip (0/1) for one shot's detector bits."""
+        """Predicted observable flip (0/1) for one shot's detector bits.
+
+        Decoded as a batch of one, through the syndrome LRU and
+        :meth:`_decode_misses`.
+        """
         sample = np.asarray(detector_sample)
         nonzero = np.nonzero(sample)[0]
         limit = self.num_detectors
         defects = tuple(int(d) for d in nonzero if d < limit)
-        return self._decode_cached(defects)
-
-    def _decode_cached(self, defects: tuple[int, ...]) -> int:
-        if not defects:
-            return 0
-        cache = self._cache
-        if cache is not None:
-            cached = cache.get(defects)
-            if cached is not None:
-                cache.move_to_end(defects)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-        result = self._decode_defects(defects)
-        if cache is not None:
-            cache[defects] = result
-            if len(cache) > self.cache_size:
-                cache.popitem(last=False)
-        return result
+        return int(self._decode_unique([defects])[0])
 
     # -- batch front door ----------------------------------------------
     def decode_batch(
@@ -324,12 +312,12 @@ class Decoder:
     ) -> np.ndarray:
         """Shard unique-syndrome decoding across forked worker processes.
 
-        The decoder (path matrices included) is inherited by each
-        worker copy-on-write at fork time, so nothing large is pickled;
-        only the defect tuples and the uint8 results cross the pipe.
-        Cache hits are resolved in the parent first, and the parent's
-        syndrome LRU absorbs the workers' results afterwards, so a
-        sharded batch warms the cache exactly like a serial one.
+        The decoder (whole-graph route tables included) is inherited by
+        each worker copy-on-write at fork time, so nothing large is
+        pickled; only the defect tuples and the uint8 results cross the
+        pipe.  Cache hits are resolved in the parent first, and the
+        parent's syndrome LRU absorbs the workers' results afterwards,
+        so a sharded batch warms the cache exactly like a serial one.
 
         Fault tolerance: each shard has its own worker and pipe.  A
         worker that dies (crash, OOM kill, SIGKILL) closes its pipe,
@@ -342,10 +330,8 @@ class Decoder:
         forked process outlives the call even when the caller's side
         raises.
 
-        Caveat: decoders whose per-shot state is rebuilt on demand
-        (e.g. ``use_matrices=False`` path caches) duplicate that work
-        across workers and discard it with the pool — results stay
-        correct but the speed-up erodes there.
+        Above the matrix limit each worker builds the per-batch route
+        tables of its own shard.
         """
         self._prepare_fork()
         out = np.zeros(len(defect_sets), dtype=np.uint8)
@@ -360,7 +346,12 @@ class Decoder:
         global _POOL_DECODER
         ctx = multiprocessing.get_context("fork")
         miss_sets = [defect_sets[i] for i in misses]
-        shards = np.array_split(np.arange(len(miss_sets)), workers)
+        # Deal the sets out round-robin: unique syndromes arrive in
+        # packed-word order, and contiguous blocks of that order differ
+        # in cost (2.5x between the halves of a d = 9, p = 1e-3 batch).
+        shards = [
+            np.arange(k, len(miss_sets), workers) for k in range(workers)
+        ]
         results = np.zeros(len(miss_sets), dtype=np.uint8)
         procs: list[tuple] = []
         # The lock spans the workers' whole lifetime: every shard forks

@@ -1,19 +1,25 @@
-"""Vectorised batch decoding of unique syndromes (blossom method).
+"""The blossom decode pipeline: every cache-missing syndrome runs here.
 
-The serial matrix path (:meth:`MatchingDecoder._decode_blossom_matrix`)
-spends its time in per-shot Python: matrix gathers, a BFS over the
-pairable graph, and one subset-DP per component.  This module runs the
-identical algorithm over *all* unique syndromes of a batch at once:
+:meth:`MatchingDecoder._decode_misses` hands this module every list of
+unique syndromes — a single shot from ``decode()`` as a batch of one,
+a forked worker's whole shard, or a full batch — on any graph size.
+The decoding graph supplies :class:`~repro.decode.graph.RouteTables`
+per sub-batch (whole-graph tables at or under the matrix limit,
+per-batch tables above it, see
+:meth:`~repro.decode.graph.DecodingGraph.batch_tables`) and the
+pipeline reads only those tables:
 
 1. **Stacked lookups** — syndromes are grouped by defect count ``k``
-   and their pairwise distance/parity/boundary arrays gathered as
+   and their pair costs, parities and boundary routes gathered as
    ``(group, k, k)`` tensors in a handful of fancy-indexing calls.
 2. **Batch component labelling** — the pairable edges of every
    syndrome are block-stacked into one sparse adjacency over all
    defect occurrences and labelled with a single
    :func:`scipy.sparse.csgraph.connected_components` call (edges never
    cross syndromes, so labels respect syndrome boundaries by
-   construction).
+   construction).  A pair with ``d(a,b) > b(a)+b(b)`` is never matched
+   directly (two boundary routes are at most as expensive), so
+   components decode independently.
 3. **Size-class bucketing** — components are bucketed by size:
    singletons and pairs resolve with pure array ops, mid-size
    components run the subset DP *stacked* (one gather + ``argmin`` per
@@ -21,18 +27,14 @@ identical algorithm over *all* unique syndromes of a batch at once:
    only components beyond the decoder's DP cutoff
    (``MatchingDecoder._dp_cutoff`` — the stacked-DP ceiling for the
    sparse matcher, :data:`DP_DEFECT_LIMIT` for the dense one) fall
-   through to the decoder's oversize matching engine one by one
+   through to the decoder's oversize matching engine
    (``MatchingDecoder._match_oversize``: the sparse region-growing
-   engine by default, the dense blossom as oracle).
+   engine by default, the dense blossom under ``matcher="dense"``).
 
-Every numerical step reproduces the serial path operation-for-
-operation — the same symmetrisation, the same transition tables, the
-same tie-breaking ``argmin`` — so predictions are bit-identical to
-per-shot decoding; the agreement suites pin this.
-
-The subset-DP transition tables (:func:`_dp_tables`) and the DP size
-limits live here and are shared with the serial matchers in
-:mod:`repro.decode.mwpm`.
+Ties resolve deterministically: the DPs prefer the pair route and then
+the lowest partner index, so repeated runs return the same matching.
+The serial per-shot formulation of the same algorithm is a test oracle
+(``tests/decode_oracles.py``) that pins these predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.decode import blossom as _blossom
 from repro.decode.blossom import kernel_backend
 
 if TYPE_CHECKING:
+    from repro.decode.graph import RouteTables
     from repro.decode.mwpm import MatchingDecoder
 
 __all__ = [
@@ -54,9 +57,9 @@ __all__ = [
     "decode_blossom_batch",
 ]
 
-#: Up to this many defects the exact subset-DP matchers replace blossom:
-#: a scalar DP below ``DP_SCALAR_LIMIT``, a numpy level-batched DP with
-#: cached per-size index tables up to ``DP_DEFECT_LIMIT``.
+#: Sets of up to ``DP_SCALAR_LIMIT`` defects run one whole-set subset DP
+#: without decomposition; the dense matcher keeps components up to
+#: ``DP_DEFECT_LIMIT`` defects on the level-batched DP.
 DP_SCALAR_LIMIT = 7
 DP_DEFECT_LIMIT = 14
 
@@ -66,7 +69,8 @@ _BATCH_ELEMENT_LIMIT = 1 << 22
 
 #: Largest component size the *stacked* DP handles; beyond it the
 #: per-level gathers (``chunk × C(k, k/2) × k/2`` floats) overflow the
-#: CPU cache and the serial level-batched DP — whose working set is one
+#: CPU cache and the per-component level-batched DP
+#: (``MatchingDecoder._dp_match_vec``) — whose working set is one
 #: component's ``2^k`` table — is measurably faster per component.
 _DP_STACK_MAX = 11
 
@@ -137,42 +141,37 @@ def _dp_tables(k: int) -> list:
     return tables
 
 
-def _gather(graph, det):
+def _gather(tables, det):
     """Stacked route arrays for ``(batch, k)`` defect index rows.
 
-    Returns ``(W, use_pair, pairable, P, b_dist, b_par)`` exactly as
-    the serial path computes them per shot: distances symmetrised
-    (Dijkstra rows round independently), pair cost floored by the
-    two-boundary route, ``use_pair`` preferring the pair on ties.  The
-    arithmetic lives in the graph's whole-matrix route tables
-    (:meth:`~repro.decode.graph.DecodingGraph.ensure_route_tables`);
-    this is four flat gathers sharing one precomputed index array, so
-    the per-call cost is memory traffic only.
+    Returns ``(W, use_pair, pairable, P, b_dist, b_par)`` for every
+    row: distances symmetrised (Dijkstra rows round independently),
+    pair cost floored by the two-boundary route, ``use_pair``
+    preferring the pair on ties.  The arithmetic lives in the
+    :class:`~repro.decode.graph.RouteTables` the graph handed out;
+    this is four flat gathers sharing one index array, so the per-call
+    cost is memory traffic only.
     """
-    W_full, up_full, pair_full, par, b_dist, b_par = (
-        graph.ensure_route_tables()
-    )
-    idx = det[:, :, None] * len(b_dist) + det[:, None, :]
+    idx = det[:, :, None] * len(tables.b_dist) + det[:, None, :]
     return (
-        W_full.ravel()[idx],
-        up_full.ravel()[idx],
-        pair_full.ravel()[idx],
-        par.ravel()[idx],
-        b_dist[det],
-        b_par[det],
+        tables.W.ravel()[idx],
+        tables.use_pair.ravel()[idx],
+        tables.pairable.ravel()[idx],
+        tables.parity.ravel()[idx],
+        tables.b_dist[det],
+        tables.b_par[det],
     )
 
 
-def _pairable(graph, det):
+def _pairable(tables, det):
     """Just the pairable-adjacency mask of :func:`_gather`.
 
     Edge construction only needs ``d ≤ b(a)+b(b)`` and finiteness;
     gathering one bool table instead of six arrays keeps the
     decomposition stage's fancy-indexing volume minimal.
     """
-    pair_full = graph.ensure_route_tables()[2]
-    idx = det[:, :, None] * pair_full.shape[0] + det[:, None, :]
-    return pair_full.ravel()[idx]
+    idx = det[:, :, None] * len(tables.b_dist) + det[:, None, :]
+    return tables.pairable.ravel()[idx]
 
 
 def _dp_flatten(k, W, use_pair, P, b_dist, b_par):
@@ -190,11 +189,11 @@ def _dp_flatten(k, W, use_pair, P, b_dist, b_par):
         use_pair, P, b_par[:, :, None] ^ b_par[:, None, :]
     ).astype(np.uint8)
     finite_b = np.isfinite(b_dist)
-    # The serial DPs reduce the finite entries with differently-grouped
-    # sums; the value only needs to exceed every achievable matching
-    # cost (it is selected solely for stranded defects, where every
-    # alternative is +inf), so the vectorised reduction's last-ulp
-    # differences cannot change predictions.
+    # The per-component DP reduces the finite entries with
+    # differently-grouped sums; the value only needs to exceed every
+    # achievable matching cost (it is selected solely for stranded
+    # defects, where every alternative is +inf), so the vectorised
+    # reduction's last-ulp differences cannot change predictions.
     dangle = (
         1.0
         + np.where(np.isfinite(W), W, 0.0).sum(axis=(1, 2))
@@ -223,8 +222,8 @@ def _dp_match_batch(k, W, use_pair, P, b_dist, b_par) -> np.ndarray:
     """Stacked subset DP over ``(batch, k, k)`` component arrays.
 
     Identical recurrence, transition tables and tie-breaking as the
-    per-component DPs in :mod:`repro.decode.mwpm`; the only new axis is
-    the leading batch dimension.  The flat transition vectors are
+    per-component ``MatchingDecoder._dp_match_vec``; the only new axis
+    is the leading batch dimension.  The flat transition vectors are
     always prepared by :func:`_dp_flatten`; the recurrence itself runs
     in ``_cblossom.dp_match_batch`` when the compiled kernel is loaded
     and in the pinned numpy fallback (:func:`_dp_match_batch_py`)
@@ -272,16 +271,16 @@ def _dp_match_batch_py(k, cost_flat, par_flat) -> np.ndarray:
     return g[:, (1 << k) - 1]
 
 
-def _dp_bucket(decoder, out, syn_ids, det) -> None:
+def _dp_bucket(decoder, tables, out, syn_ids, det) -> None:
     """Run one same-size DP bucket (chunked) and XOR results into out.
 
     Sizes up to :data:`_DP_STACK_MAX` run the stacked DP in cache-sized
-    chunks; larger ones loop the serial level-batched DP per component
+    chunks; larger ones loop the level-batched DP per component
     (identical recurrence — see :data:`_DP_STACK_MAX`).
     """
     k = det.shape[1]
     if k > _DP_STACK_MAX:
-        W, use_pair, _, P, b_dist, b_par = _gather(decoder.graph, det)
+        W, use_pair, _, P, b_dist, b_par = _gather(tables, det)
         results = np.fromiter(
             (
                 decoder._dp_match_vec(
@@ -297,7 +296,7 @@ def _dp_bucket(decoder, out, syn_ids, det) -> None:
     chunk = max(1, _DP_CHUNK_ELEMENTS >> k)
     for start in range(0, len(det), chunk):
         sl = slice(start, start + chunk)
-        W, use_pair, _, P, b_dist, b_par = _gather(decoder.graph, det[sl])
+        W, use_pair, _, P, b_dist, b_par = _gather(tables, det[sl])
         np.bitwise_xor.at(
             out,
             syn_ids[sl],
@@ -310,16 +309,30 @@ def decode_blossom_batch(
 ) -> np.ndarray:
     """Predictions for a list of unique nonempty defect tuples.
 
-    ``decoder`` is a matrix-backed blossom :class:`MatchingDecoder`;
-    the result is bit-identical to calling its serial
-    ``_decode_defects`` on each tuple.
+    The one blossom entry point, for any number of sets: the graph
+    hands out route tables sub-batch by sub-batch
+    (:meth:`~repro.decode.graph.DecodingGraph.batch_tables`) and each
+    sub-batch runs the pipeline on its tables alone.
     """
-    dist, par = decoder.graph.ensure_matrices()
-    b_col = decoder.graph.boundary_index
+    out = np.zeros(len(defect_sets), dtype=np.uint8)
+    for rows, tables, local_sets in decoder.graph.batch_tables(defect_sets):
+        out[rows] = _decode_on_tables(decoder, tables, local_sets)
+        del tables  # one sub-batch's tables alive at a time
+    return out
+
+
+def _decode_on_tables(
+    decoder: MatchingDecoder,
+    tables: RouteTables,
+    defect_sets: Sequence[tuple[int, ...]],
+) -> np.ndarray:
+    """The pipeline over defect sets given in ``tables``' local indices."""
     num = len(defect_sets)
     out = np.zeros(num, dtype=np.uint8)
     if num == 0:
         return out
+    W_full, up_full, par = tables.W, tables.use_pair, tables.parity
+    b_dist_all, b_par_all = tables.b_dist, tables.b_par
     counts = np.fromiter(
         (len(d) for d in defect_sets), dtype=np.int64, count=num
     )
@@ -335,33 +348,28 @@ def decode_blossom_batch(
     ones = np.nonzero(counts == 1)[0]
     if ones.size:
         det = flat_det[offsets[ones]]
-        b_dist = dist[det, b_col]
-        out[ones] = np.where(np.isfinite(b_dist), par[det, b_col], 0)
+        out[ones] = np.where(np.isfinite(b_dist_all[det]), b_par_all[det], 0)
 
     # --- k == 2: pair route, two boundary routes, or stranded.
     twos = np.nonzero(counts == 2)[0]
     if twos.size:
         a = flat_det[offsets[twos]]
         b = flat_det[offsets[twos] + 1]
-        D = np.minimum(dist[a, b], dist[b, a])
-        b_a, b_b = dist[a, b_col], dist[b, b_col]
-        via = b_a + b_b
-        W = np.minimum(D, via)
         pair_or_via = np.where(
-            D <= via, par[a, b], par[a, b_col] ^ par[b, b_col]
+            up_full[a, b], par[a, b], b_par_all[a] ^ b_par_all[b]
         )
-        alone = np.where(np.isfinite(b_a), par[a, b_col], 0) ^ np.where(
-            np.isfinite(b_b), par[b, b_col], 0
+        alone = np.where(np.isfinite(b_dist_all[a]), b_par_all[a], 0) ^ (
+            np.where(np.isfinite(b_dist_all[b]), b_par_all[b], 0)
         )
-        out[twos] = np.where(np.isfinite(W), pair_or_via, alone)
+        out[twos] = np.where(np.isfinite(W_full[a, b]), pair_or_via, alone)
 
     # --- 3 ≤ k ≤ DP_SCALAR_LIMIT: whole-set subset DP, no
-    # decomposition — mirroring the serial path's small-k shortcut.
+    # decomposition (a small set gains nothing from it).
     for k in range(3, DP_SCALAR_LIMIT + 1):
         rows = np.nonzero(counts == k)[0]
         if rows.size:
             det = flat_det[offsets[rows, None] + np.arange(k)[None, :]]
-            _dp_bucket(decoder, out, rows, det)
+            _dp_bucket(decoder, tables, out, rows, det)
 
     # --- k > DP_SCALAR_LIMIT: decompose every syndrome's pairable
     # graph in one block-stacked connected_components call, then
@@ -379,7 +387,7 @@ def decode_blossom_batch(
         for start in range(0, rows.size, chunk):
             sub = rows[start : start + chunk]
             det = flat_det[offsets[sub, None] + np.arange(k)[None, :]]
-            pairable = _pairable(decoder.graph, det)
+            pairable = _pairable(tables, det)
             g, e = np.nonzero(pairable[:, iu, ju])
             base = offsets[sub][g]
             edge_u.append(base + iu[e])
@@ -421,10 +429,9 @@ def decode_blossom_batch(
     if single.size:
         nodes = sorted_nodes[comp_starts[single]]
         det = flat_det[nodes]
-        b_dist = dist[det, b_col]
-        contrib = np.where(np.isfinite(b_dist), par[det, b_col], 0).astype(
-            np.uint8
-        )
+        contrib = np.where(
+            np.isfinite(b_dist_all[det]), b_par_all[det], 0
+        ).astype(np.uint8)
         np.bitwise_xor.at(out, sorted_syn[comp_starts[single]], contrib)
 
     # Pair components: the pairable edge is the optimal route.
@@ -444,12 +451,11 @@ def decode_blossom_batch(
             continue
         member_idx = comp_starts[comps, None] + np.arange(n)[None, :]
         det = flat_det[sorted_nodes[member_idx]]
-        _dp_bucket(decoder, out, sorted_syn[comp_starts[comps]], det)
+        _dp_bucket(decoder, tables, out, sorted_syn[comp_starts[comps]], det)
 
     # Oversize components: stacked setup, then the matching engine —
     # sparse region-growing by default, dense blossom under
-    # matcher="dense" (the same dispatch the serial path uses, so both
-    # stay bit-identical).  Same-size components share one gather
+    # matcher="dense" (``MatchingDecoder._match_oversize``).  Same-size components share one gather
     # exactly as the DP buckets stack theirs; with the compiled sparse
     # matcher the whole chunk is matched in one C call, so there is no
     # per-component Python left at all.
@@ -479,7 +485,7 @@ def decode_blossom_batch(
         for start in range(0, len(comps), chunk):
             sl = slice(start, start + chunk)
             det = det_all[sl]
-            W, use_pair, _, P, b_dist, b_par = _gather(decoder.graph, det)
+            W, use_pair, _, P, b_dist, b_par = _gather(tables, det)
             if batch_entry:
                 parities = sparse_mod.sparse_match_parity_batch(
                     n, W, use_pair, P, b_dist, b_par

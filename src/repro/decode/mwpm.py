@@ -1,58 +1,40 @@
-"""Batched, cache-accelerated matching decoders.
+"""Matching decoders over the one batch pipeline.
 
 Three methods share the :class:`repro.decode.base.Decoder` front-end
 (canonicalisation, zero-syndrome fast path, ``np.unique``
 deduplication, syndrome LRU, forked-pool sharding, packed-bitplane
-input):
+input), and every one of them decodes *lists* of cache-missing
+syndromes through :meth:`MatchingDecoder._decode_misses` — a single
+shot from ``decode()`` is a batch of one, a forked worker decodes its
+whole shard in one call:
 
 * ``"blossom"`` — exact minimum-weight perfect matching on the defect
-  graph; small components are solved by subset DP, larger ones by a
-  native primal–dual blossom engine — no external graph library is
-  involved anywhere in the decode path.  Each defect matches another
-  defect or routes to the virtual boundary.  The ``matcher``
-  constructor option picks the engine for components past the DP
-  cutoff: ``"sparse"`` (default) grows match regions on sparse
-  candidate edges (:mod:`repro.decode.sparse_match`) and repairs
-  against the dual certificate, ``"dense"`` feeds the complete
-  component graph to :mod:`repro.decode.blossom` and is kept as the
-  oracle.  Both optimise the identical objective; among equal-weight
-  ties they may pick different matchings, so bit-identity suites pin
-  the dense engine and weight-equality suites pin both.
-* ``"greedy"`` — nearest-neighbour greedy matching; fast, slightly
-  suboptimal, kept for sanity checks and as the cheapest baseline.
+  graph, run by the vectorised pipeline
+  (:func:`repro.decode.batch.decode_blossom_batch`): stacked route
+  gathers, one :func:`~scipy.sparse.csgraph.connected_components` call
+  over the batch, size-bucketed stacked subset DPs, and a native
+  matching engine for oversize components.  Each defect matches
+  another defect or routes to the virtual boundary.  The ``matcher``
+  constructor option picks that engine: ``"sparse"`` (default) grows
+  match regions on sparse candidate edges
+  (:mod:`repro.decode.sparse_match`) and repairs against the dual
+  certificate, ``"dense"`` feeds the complete component graph to
+  :mod:`repro.decode.blossom`.  Both optimise the identical objective;
+  among equal-weight ties they may pick different matchings.
+* ``"greedy"`` — nearest-neighbour greedy matching on the same route
+  tables; fast, slightly suboptimal, kept as the cheapest baseline.
 * ``"uf"`` — the almost-linear union-find decoder
   (:class:`repro.decode.uf.UnionFindDecoder`).
 
-The hot path is precomputation-heavy rather than per-shot:
-
-* pairwise defect distances and path observable parities are O(1)
-  lookups into the decoding graph's all-pairs matrices
-  (:meth:`DecodingGraph.ensure_matrices`) instead of a Python Dijkstra
-  per shot; graphs above the matrix size threshold (or decoders built
-  with ``use_matrices=False``) fall back to the seed's legacy
-  per-source Dijkstra path, which is also what the agreement tests
-  compare against.
-* cache-missing unique syndromes of a matrix-backed blossom batch run
-  through the vectorised component pipeline
-  (:func:`repro.decode.batch.decode_blossom_batch`): stacked matrix
-  gathers, one :func:`~scipy.sparse.csgraph.connected_components` call
-  over the block-stacked pairable graph of the whole batch, and
-  size-bucketed stacked subset DPs, with only oversize components
-  dispatched to the native blossom engine one by one.  Predictions are
-  bit-identical to the serial per-shot path.
-
-Every backend (subset DP, native blossom, legacy per-shot Dijkstra)
-optimises the identical objective, so total matching weights agree
-exactly and predictions match whenever the optimum is unique.
-Degenerate ties (equal-weight shortest paths, or equal-cost matchings
-as on uniform-weight graphs with no boundary) resolve
-deterministically: the DPs prefer the pair route and then the lowest
-partner index, and the blossom engine scans defects in ascending index
-order, so repeated runs — and both formulations fed to the engine —
-always return the same matching.  :meth:`MatchingDecoder.
-matching_weight` exposes the optimal total route weight so agreement
-tests can compare backends on the objective value itself rather than
-only on tie-free predictions.
+Pair costs come from the decoding graph's route tables
+(:meth:`~repro.decode.graph.DecodingGraph.batch_tables`): whole-graph
+tables at or under the matrix limit, per-batch tables above it — the
+methods never see the difference.  The reference formulations — the
+seed's per-shot Dijkstra with its ``2k``-node boundary-copy blossom,
+the serial per-shot matrix decoder (the pipeline's bit-identity
+reference), and the objective-value query ``matching_weight`` — live in
+``tests/decode_oracles.py``, where the agreement suites pin total
+weights everywhere and predictions wherever the optimum is unique.
 """
 
 from __future__ import annotations
@@ -60,28 +42,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decode.base import DEFAULT_CACHE_SIZE, Decoder
-from repro.decode.batch import (
-    DP_DEFECT_LIMIT,
-    DP_SCALAR_LIMIT,
-    _dp_tables,
-    decode_blossom_batch,
-)
+from repro.decode.batch import DP_DEFECT_LIMIT, _dp_tables, decode_blossom_batch
 from repro.decode.blossom import min_weight_perfect_matching
-from repro.decode.graph import BOUNDARY, DecodingGraph
-from repro.decode.sparse_match import (
-    SPARSE_MIN_DEFECTS,
-    region_candidates,
-    sparse_match,
-    sparse_match_parity,
-)
+from repro.decode.graph import DecodingGraph, RouteTables
+from repro.decode.sparse_match import SPARSE_MIN_DEFECTS, sparse_match_parity
 from repro.decode.uf import UnionFindDecoder
 from repro.sim.dem import DetectorErrorModel
 
 __all__ = ["MatchingDecoder"]
-
-#: Below this many cache-missing unique syndromes the serial loop beats
-#: the vectorised pipeline's fixed setup cost.
-_VECTOR_MIN_UNIQUE = 4
 
 
 class MatchingDecoder(Decoder):
@@ -90,9 +58,9 @@ class MatchingDecoder(Decoder):
     METHODS = ("blossom", "greedy", "uf")
     #: Matching engines for oversize components: ``"sparse"`` (the
     #: region-growing engine of :mod:`repro.decode.sparse_match`,
-    #: default) or ``"dense"`` (the complete-graph blossom path, kept
-    #: as the oracle).  Both are exact; among equal-weight optima they
-    #: may return different matchings.
+    #: default) or ``"dense"`` (the complete-graph blossom).  Both are
+    #: exact; among equal-weight optima they may return different
+    #: matchings.
     MATCHERS = ("sparse", "dense")
 
     def __init__(
@@ -102,7 +70,6 @@ class MatchingDecoder(Decoder):
         method: str = "blossom",
         matcher: str = "sparse",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        use_matrices: bool | None = None,
         workers: int | None = None,
     ) -> None:
         if method not in self.METHODS:
@@ -116,14 +83,11 @@ class MatchingDecoder(Decoder):
         self.matcher = matcher
         # Largest component the subset DPs keep: the sparse engine
         # takes over right above the stacked-DP ceiling; the dense
-        # path keeps the serial level-batched DP up to the historical
-        # limit before switching to the complete-graph blossom.
+        # path keeps the level-batched DP up to the historical limit
+        # before switching to the complete-graph blossom.
         self._dp_cutoff = (
             SPARSE_MIN_DEFECTS - 1 if matcher == "sparse" else DP_DEFECT_LIMIT
         )
-        if use_matrices is None:
-            use_matrices = self.graph.use_matrices
-        self.use_matrices = use_matrices
         # The union-find helper shares this decoder's cache, so its own
         # is disabled.
         self._uf = (
@@ -133,33 +97,31 @@ class MatchingDecoder(Decoder):
         )
 
     # -- Decoder contract ----------------------------------------------
-    def _decode_defects(self, defects: tuple[int, ...]) -> int:
-        if self.method == "uf":
-            return self._uf._decode_defects(defects)
-        if self.use_matrices:
-            if self.method == "greedy":
-                return self._decode_greedy_matrix(defects)
-            return self._decode_blossom_matrix(defects)
-        if self.method == "greedy":
-            return self._decode_greedy_legacy(list(defects))
-        return self._decode_blossom_legacy(list(defects))
-
     def _decode_misses(self, defect_sets: list[tuple[int, ...]]) -> np.ndarray:
-        if (
-            self.method == "blossom"
-            and self.use_matrices
-            and len(defect_sets) >= _VECTOR_MIN_UNIQUE
-        ):
-            return decode_blossom_batch(self, defect_sets)
-        return super()._decode_misses(defect_sets)
+        if self._uf is not None:
+            return self._uf._decode_misses(defect_sets)
+        if self.method == "greedy":
+            out = np.zeros(len(defect_sets), dtype=np.uint8)
+            for rows, tables, local_sets in self.graph.batch_tables(
+                defect_sets
+            ):
+                out[rows] = [_greedy_parity(tables, d) for d in local_sets]
+                del tables  # one sub-batch's tables alive at a time
+            return out
+        return decode_blossom_batch(self, defect_sets)
 
     def _prepare_fork(self) -> None:
-        if self.use_matrices:
-            self.graph.ensure_matrices()  # build once, before forking
+        # Whole-graph tables are built once, before forking, and shared
+        # copy-on-write; per-batch tables are each worker's own work.
+        if self._uf is None and self.graph.uses_whole_tables:
+            self.graph.ensure_route_tables()
 
-    # -- matrix-backed decoding ----------------------------------------
     def _lookup(self, defects: tuple[int, ...]):
-        """Pairwise/boundary distance and parity arrays for a defect set."""
+        """Pairwise/boundary distance and parity arrays for a defect set.
+
+        Reads the whole-graph tables; the window decoder's graphs are
+        under the matrix limit by construction.
+        """
         dist, par = self.graph.ensure_matrices()
         idx = np.fromiter(defects, dtype=np.int64, count=len(defects))
         b_col = self.graph.boundary_index
@@ -170,111 +132,14 @@ class MatchingDecoder(Decoder):
             par[idx, b_col],
         )
 
-    def _decode_blossom_matrix(self, defects: tuple[int, ...]) -> int:
-        """Exact matching on the *reduced*, *decomposed* defect graph.
-
-        Two exact reductions replace the seed's ``2k``-node formulation
-        (one boundary copy per defect plus a zero-cost copy clique):
-
-        * **Reduced graph** — a complete graph over the ``k`` defects
-          with edge weight ``min(d(a,b), b(a)+b(b))`` plus a single
-          virtual boundary node when needed.  Any number of defects
-          routed to the boundary pairs up inside the reduced edges, so
-          the optimum is identical while matching runs on half the
-          nodes.
-        * **Component decomposition** — a pair with
-          ``d(a,b) > b(a)+b(b)`` is never matched directly (two
-          boundary routes are at most as expensive), so connected
-          components of the ``d ≤ b+b`` graph decode independently.
-          At low error rates defects cluster into tiny components,
-          collapsing the matching cost per shot.
-
-        Components up to :data:`DP_DEFECT_LIMIT` defects use the exact
-        subset-DP matcher; larger ones go to the native blossom engine
-        (:mod:`repro.decode.blossom`).  Equal-weight ties between the
-        pair route and the two-boundary route resolve to the pair
-        route.  The vectorised pipeline in :mod:`repro.decode.batch`
-        runs this same algorithm over many syndromes at once.
-        """
-        D, P, b_dist, b_par = self._lookup(defects)
-        k = len(defects)
-        if k == 1:
-            return int(b_par[0]) if np.isfinite(b_dist[0]) else 0
-        # Dijkstra rows are computed independently, so D is symmetric
-        # only up to float rounding; symmetrise before comparing with
-        # the boundary route (ties here are systematic — a shortest
-        # u–v path may run through the boundary node itself).
-        D = np.minimum(D, D.T)
-        via_boundary = b_dist[:, None] + b_dist[None, :]
-        W = np.minimum(D, via_boundary)
-        use_pair = D <= via_boundary
-        if k == 2:
-            return self._match_component(
-                [0, 1], W, use_pair, P, b_dist, b_par
-            )
-        if k <= DP_SCALAR_LIMIT:
-            return self._dp_match(k, W, use_pair, P, b_dist, b_par)
-        pairable = use_pair & np.isfinite(D)
-        np.fill_diagonal(pairable, False)
-        parity = 0
-        unassigned = np.ones(k, dtype=bool)
-        for start in range(k):
-            if not unassigned[start]:
-                continue
-            # BFS one component of the pairable graph.
-            members = np.zeros(k, dtype=bool)
-            members[start] = True
-            frontier = members
-            while frontier.any():
-                reached = pairable[frontier].any(axis=0) & ~members
-                members |= reached
-                frontier = reached
-            unassigned &= ~members
-            comp = np.nonzero(members)[0]
-            if len(comp) == 1:
-                i = int(comp[0])
-                if np.isfinite(b_dist[i]):
-                    parity ^= int(b_par[i])
-            else:
-                parity ^= self._match_component(
-                    comp, W, use_pair, P, b_dist, b_par
-                )
-        return parity
-
-    def _match_component(self, comp, W, use_pair, P, b_dist, b_par) -> int:
-        """Optimal routing parity of one pairable component."""
-        n = len(comp)
-        if n == 2:
-            i, j = int(comp[0]), int(comp[1])
-            if not np.isfinite(W[i, j]):
-                # Disconnected pair: each routes to the boundary alone
-                # (or dangles, matching the seed's unmatched behaviour).
-                parity = 0
-                for a in (i, j):
-                    if np.isfinite(b_dist[a]):
-                        parity ^= int(b_par[a])
-                return parity
-            return int(P[i, j]) if use_pair[i, j] else int(b_par[i] ^ b_par[j])
-        idx = np.asarray(comp, dtype=np.int64)
-        sub = np.ix_(idx, idx)
-        if n <= DP_SCALAR_LIMIT:
-            matcher = self._dp_match
-        elif n <= self._dp_cutoff:
-            matcher = self._dp_match_vec
-        else:
-            matcher = self._match_oversize
-        return matcher(
-            n, W[sub], use_pair[sub], P[sub], b_dist[idx], b_par[idx]
-        )
-
+    # -- matching engines the pipeline dispatches to -------------------
     def _match_oversize(
         self, k, W, use_pair, P, b_dist, b_par, seeds=None
     ) -> int:
         """Matching-engine dispatch for components past the DP cutoff.
 
-        The seam the vectorised batch pipeline calls too, so the
-        serial and batched paths always agree on which engine matched
-        a component: ``matcher="sparse"`` grows the component on
+        The seam the pipeline calls for every oversize component:
+        ``matcher="sparse"`` grows the component on
         candidate edges (:func:`repro.decode.sparse_match.
         sparse_match_parity`), ``matcher="dense"`` keeps the
         complete-graph blossom.  ``seeds`` is an optional pre-computed
@@ -296,8 +161,9 @@ class MatchingDecoder(Decoder):
         The ``k`` defects with pair costs ``W``, plus — when ``k`` is
         odd — one virtual boundary node at column ``k`` that can absorb
         the odd defect at its boundary distance.  Shared by decoding
-        (:meth:`_blossom_match`) and the objective-value query
-        (:meth:`matching_weight`) so the two formulations cannot drift.
+        (:meth:`_blossom_match`), the window decoder's route extraction
+        and the objective-value oracle in ``tests/decode_oracles.py``,
+        so the formulations cannot drift.
         """
         n = k + (k % 2)
         cost = np.full((n, n), np.inf)
@@ -335,107 +201,21 @@ class MatchingDecoder(Decoder):
                     parity ^= int(b_par[i]) ^ int(b_par[j])
         return parity
 
-    def _decode_greedy_matrix(self, defects: tuple[int, ...]) -> int:
-        """Nearest-neighbour greedy matching on matrix lookups.
-
-        Candidate ordering (pairs in index order, then boundary routes;
-        stable sort by distance) matches the legacy implementation.
-        """
-        D, P, b_dist, b_par = self._lookup(defects)
-        k = len(defects)
-        remaining = set(range(k))
-        candidates: list[tuple[float, int, int]] = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.isfinite(D[i, j]):
-                    candidates.append((float(D[i, j]), i, j))
-        for i in range(k):
-            if np.isfinite(b_dist[i]):
-                candidates.append((float(b_dist[i]), i, -1))
-        candidates.sort(key=lambda item: item[0])
-        parity = 0
-        for _w, i, j in candidates:
-            if i not in remaining:
-                continue
-            if j == -1:
-                remaining.discard(i)
-                parity ^= int(b_par[i])
-            elif j in remaining:
-                remaining.discard(i)
-                remaining.discard(j)
-                parity ^= int(P[i, j])
-        for i in remaining:  # unmatched leftovers go to the boundary
-            if np.isfinite(b_dist[i]):
-                parity ^= int(b_par[i])
-        return parity
-
-    @staticmethod
-    def _dp_match(k, W, use_pair, P, b_dist, b_par) -> int:
-        """Exact minimum-weight matching by subset DP (small defect sets).
-
-        ``f[mask]`` is the optimal cost of resolving the defect subset
-        ``mask``; the lowest defect in the mask either pairs with
-        another member (cost ``W``, the pair/boundary-route minimum) or
-        routes to the boundary alone.  O(2^k · k), which beats blossom
-        comfortably up to ``DP_DEFECT_LIMIT`` defects.  Ties prefer the
-        pair route, then the lowest partner index.
-        """
-        route_par = np.where(use_pair, P, b_par[:, None] ^ b_par[None, :])
-        cost_rows = W.tolist()
-        par_rows = route_par.tolist()
-        bound_cost = [
-            float(b_dist[i]) if np.isfinite(b_dist[i]) else np.inf
-            for i in range(k)
-        ]
-        bound_par = [int(b_par[i]) for i in range(k)]
-        # A dangling (unmatched) defect costs more than any achievable
-        # matching, reproducing the seed's max-cardinality-first
-        # objective: minimise dangles, then total route weight.
-        finite_w = np.isfinite(W)
-        dangle = 1.0 + float(W[finite_w].sum() if finite_w.any() else 0.0)
-        dangle += float(sum(c for c in bound_cost if c < np.inf))
-        size = 1 << k
-        f = [0.0] * size
-        g = [0] * size
-        for mask in range(1, size):
-            low_bit = mask & -mask
-            i = low_bit.bit_length() - 1
-            rest = mask ^ low_bit
-            row_cost = cost_rows[i]
-            row_par = par_rows[i]
-            best = np.inf
-            best_par = 0
-            m = rest
-            while m:
-                j_bit = m & -m
-                m ^= j_bit
-                other = rest ^ j_bit
-                cost = row_cost[j_bit.bit_length() - 1] + f[other]
-                if cost < best:
-                    best = cost
-                    best_par = row_par[j_bit.bit_length() - 1] ^ g[other]
-            cost = bound_cost[i] + f[rest]
-            if cost < best:
-                best = cost
-                best_par = bound_par[i] ^ g[rest]
-            cost = dangle + f[rest]
-            if cost < best:
-                best = cost
-                best_par = g[rest]
-            f[mask] = best
-            g[mask] = best_par
-        return g[size - 1]
-
     @staticmethod
     def _dp_match_vec(k, W, use_pair, P, b_dist, b_par) -> int:
         """Vectorised subset DP: one batched argmin per popcount level.
 
-        Same recurrence and tie-breaking as :meth:`_dp_match`, but all
-        masks of equal popcount are processed as one numpy gather +
-        ``argmin``, using the shared per-``k`` transition tables from
-        :func:`repro.decode.batch._dp_tables`.  Extends exact matching
-        to mid-size components where both the scalar DP and blossom are
-        slow.
+        ``f[mask]`` is the optimal cost of resolving the defect subset
+        ``mask``; its lowest defect either pairs with another member
+        (cost ``W``, the pair/boundary-route minimum), routes to the
+        boundary alone, or dangles.  A dangling (unmatched) defect costs
+        more than any achievable matching, reproducing the seed's
+        max-cardinality-first objective.  All masks of equal popcount
+        are processed as one numpy gather + ``argmin`` over the shared
+        per-``k`` transition tables from
+        :func:`repro.decode.batch._dp_tables`; ties prefer the pair
+        route, then the lowest partner index.  The pipeline runs this
+        per component past the stacked-DP ceiling.
         """
         route_par = np.where(use_pair, P, b_par[:, None] ^ b_par[None, :])
         finite_w = np.isfinite(W)
@@ -467,209 +247,40 @@ class MatchingDecoder(Decoder):
             )
         return int(g[(1 << k) - 1])
 
-    # -- shared blossom core -------------------------------------------
-    @staticmethod
-    def _blossom_matching(defects, dists, b_dist):
-        """Max-cardinality min-weight matching on the defect graph.
 
-        The seed's ``2k``-node formulation, solved by the native
-        engine: each defect node ``("d", i)`` may pair with another
-        defect or its own boundary copy ``("b", i)``; boundary copies
-        pair off freely at zero cost.  Returns the matching as a set of
-        node-tuple pairs (the shape the legacy decode loop consumes).
-        """
-        k = len(defects)
-        index = {d: i for i, d in enumerate(defects)}
-        with_boundary = [d for d in defects if d in b_dist]
-        n = k + len(with_boundary)
-        cost = np.full((n, n), np.inf)
-        for (a, b), w in dists.items():
-            cost[index[a], index[b]] = cost[index[b], index[a]] = w
-        for bi, d in enumerate(with_boundary):
-            cost[index[d], k + bi] = cost[k + bi, index[d]] = b_dist[d]
-            for bj in range(bi + 1, len(with_boundary)):
-                cost[k + bi, k + bj] = cost[k + bj, k + bi] = 0.0
-        mate, _ = min_weight_perfect_matching(cost)
-        names = [("d", d) for d in defects] + [
-            ("b", d) for d in with_boundary
-        ]
-        return {
-            (names[u], names[v])
-            for u in range(n)
-            if (v := mate[u]) > u
-        }
+def _greedy_parity(tables: RouteTables, defects: tuple[int, ...]) -> int:
+    """Nearest-neighbour greedy matching of one set on route tables.
 
-    # -- objective-value queries (agreement tests) ---------------------
-    def matching_weight(
-        self, detector_sample: np.ndarray, *, matcher: str = "blossom"
-    ) -> float:
-        """Optimal total route weight of one shot's matching.
-
-        All exact backends optimise the same objective — the summed
-        log-likelihood weight of every chosen route (defect–defect
-        paths and boundary routes; unmatchable defects contribute
-        nothing) — so this value is backend-independent even when the
-        optimal matching itself is degenerate.  ``matcher`` selects the
-        formulation used to compute it:
-
-        * ``"blossom"`` — the dense engine on the reduced defect graph
-          (no component decomposition, so the value covers the whole
-          defect set at once),
-        * ``"sparse"`` — the region-growing engine on candidate edges
-          grown over the decoding graph
-          (:func:`repro.decode.sparse_match.region_candidates`), the
-          same value computed without ever materialising the dense
-          defect graph,
-        * ``"dp"`` — the scalar subset DP (exponential in the defect
-          count; intended for test-sized syndromes),
-        * ``"legacy"`` — the seed's ``2k``-node boundary-copy
-          formulation on per-shot Dijkstra distances.
-
-        Agreement of the four (and of an external solver fed the same
-        matrix) is asserted by ``tests/test_decode_agreement.py`` and
-        ``tests/test_sparse_match.py``.
-        """
-        if matcher not in ("blossom", "sparse", "dp", "legacy"):
-            raise ValueError(
-                "matcher must be 'blossom', 'sparse', 'dp' or 'legacy'"
-            )
-        sample = np.asarray(detector_sample)
-        nonzero = np.nonzero(sample)[0]
-        defects = tuple(
-            int(d) for d in nonzero if d < self.graph.num_detectors
-        )
-        if not defects:
-            return 0.0
-        if matcher == "legacy":
-            dists, _, b_dist, _ = self._pairwise(list(defects))
-            matching = self._blossom_matching(list(defects), dists, b_dist)
-            total = 0.0
-            for u, v in matching:
-                if u[0] == "d" and v[0] == "d":
-                    a, b = sorted((u[1], v[1]))
-                    total += dists[(a, b)]
-                elif u[0] != v[0]:
-                    total += b_dist[u[1] if u[0] == "d" else v[1]]
-            return total
-        D, P, b_dist, b_par = self._lookup(defects)
-        k = len(defects)
-        if k == 1:
-            return float(b_dist[0]) if np.isfinite(b_dist[0]) else 0.0
-        D = np.minimum(D, D.T)
-        W = np.minimum(D, b_dist[:, None] + b_dist[None, :])
-        if matcher == "dp":
-            return self._dp_weight(k, W, b_dist)
-        if matcher == "sparse":
-            seeds = region_candidates(self.graph, np.asarray(defects))
-            mate, total = sparse_match(W, b_dist, seeds=seeds)
-        else:
-            n, cost = self._reduced_cost(k, W, b_dist)
-            mate, total = min_weight_perfect_matching(cost)
-        for i in range(k):  # disconnected leftovers route alone
-            if mate[i] < 0 and np.isfinite(b_dist[i]):
-                total += float(b_dist[i])
-        return float(total)
-
-    @staticmethod
-    def _dp_weight(k, W, b_dist) -> float:
-        """Total route weight by subset DP (same recurrence as
-        :meth:`_dp_match`, tracking real cost instead of parity)."""
-        cost_rows = W.tolist()
-        bound_cost = [
-            float(b_dist[i]) if np.isfinite(b_dist[i]) else np.inf
-            for i in range(k)
-        ]
-        finite_w = np.isfinite(W)
-        dangle = 1.0 + float(W[finite_w].sum() if finite_w.any() else 0.0)
-        dangle += float(sum(c for c in bound_cost if c < np.inf))
-        size = 1 << k
-        f = [0.0] * size
-        h = [0.0] * size  # real route weight of the optimum for mask
-        for mask in range(1, size):
-            low_bit = mask & -mask
-            i = low_bit.bit_length() - 1
-            rest = mask ^ low_bit
-            row_cost = cost_rows[i]
-            best = np.inf
-            best_real = 0.0
-            m = rest
-            while m:
-                j_bit = m & -m
-                m ^= j_bit
-                other = rest ^ j_bit
-                w = row_cost[j_bit.bit_length() - 1]
-                cost = w + f[other]
-                if cost < best:
-                    best = cost
-                    best_real = w + h[other]
-            cost = bound_cost[i] + f[rest]
-            if cost < best:
-                best = cost
-                best_real = bound_cost[i] + h[rest]
-            cost = dangle + f[rest]
-            if cost < best:
-                best = cost
-                best_real = h[rest]
-            f[mask] = best
-            h[mask] = best_real
-        return h[size - 1]
-
-    # -- legacy per-shot Dijkstra decoding (the seed implementation) ---
-    def _pairwise(self, defects: list[int]):
-        """Distances/paths between defects and to the boundary."""
-        dists: dict[tuple[int, int], float] = {}
-        paths: dict[tuple[int, int], list] = {}
-        boundary_dist: dict[int, float] = {}
-        boundary_path: dict[int, list] = {}
-        for i, d in enumerate(defects):
-            dist, path = self.graph.shortest(d)
-            for other in defects[i + 1 :]:
-                if other in dist:
-                    dists[(d, other)] = dist[other]
-                    paths[(d, other)] = path[other]
-            if BOUNDARY in dist:
-                boundary_dist[d] = dist[BOUNDARY]
-                boundary_path[d] = path[BOUNDARY]
-        return dists, paths, boundary_dist, boundary_path
-
-    def _decode_blossom_legacy(self, defects: list[int]) -> int:
-        dists, paths, b_dist, b_path = self._pairwise(defects)
-        matching = self._blossom_matching(defects, dists, b_dist)
-        parity = 0
-        for u, v in matching:
-            if u[0] == "d" and v[0] == "d":
-                a, b = sorted((u[1], v[1]))
-                parity ^= self.graph.path_observable_parity(paths[(a, b)])
-            elif u[0] != v[0]:
-                defect = u[1] if u[0] == "d" else v[1]
-                # Matched to a boundary copy (its own or another's):
-                # either way the defect routes to the boundary.
-                parity ^= self.graph.path_observable_parity(b_path[defect])
-        return parity
-
-    def _decode_greedy_legacy(self, defects: list[int]) -> int:
-        """Nearest-neighbour greedy matching (fast, slightly suboptimal)."""
-        dists, paths, b_dist, b_path = self._pairwise(defects)
-        remaining = set(defects)
-        candidates: list[tuple[float, int, int | None]] = []
-        for (a, b), w in dists.items():
-            candidates.append((w, a, b))
-        for d, w in b_dist.items():
-            candidates.append((w, d, None))
-        candidates.sort(key=lambda item: item[0])
-        parity = 0
-        for _w, a, b in candidates:
-            if a not in remaining:
-                continue
-            if b is None:
-                remaining.discard(a)
-                parity ^= self.graph.path_observable_parity(b_path[a])
-            elif b in remaining:
-                remaining.discard(a)
-                remaining.discard(b)
-                key = (a, b) if (a, b) in paths else (b, a)
-                parity ^= self.graph.path_observable_parity(paths[key])
-        for d in remaining:  # unmatched leftovers go to the boundary
-            if d in b_path:
-                parity ^= self.graph.path_observable_parity(b_path[d])
-        return parity
+    Candidate ordering (pairs in index order, then boundary routes;
+    stable sort by distance) matches the seed implementation.
+    """
+    idx = np.fromiter(defects, dtype=np.int64, count=len(defects))
+    sub = np.ix_(idx, idx)
+    D, P = tables.dist[sub], tables.parity[sub]
+    b_dist, b_par = tables.b_dist[idx], tables.b_par[idx]
+    k = len(defects)
+    remaining = set(range(k))
+    candidates: list[tuple[float, int, int]] = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.isfinite(D[i, j]):
+                candidates.append((float(D[i, j]), i, j))
+    for i in range(k):
+        if np.isfinite(b_dist[i]):
+            candidates.append((float(b_dist[i]), i, -1))
+    candidates.sort(key=lambda item: item[0])
+    parity = 0
+    for _w, i, j in candidates:
+        if i not in remaining:
+            continue
+        if j == -1:
+            remaining.discard(i)
+            parity ^= int(b_par[i])
+        elif j in remaining:
+            remaining.discard(i)
+            remaining.discard(j)
+            parity ^= int(P[i, j])
+    for i in remaining:  # unmatched leftovers go to the boundary
+        if np.isfinite(b_dist[i]):
+            parity ^= int(b_par[i])
+    return parity

@@ -55,40 +55,7 @@ __all__ = [
     "logical_error_rate",
     "clear_decoder_cache",
     "chunk_plan",
-    "resolve_workers",
 ]
-
-_DECODER_WORKERS_WARNED = False
-
-
-def resolve_workers(
-    workers: int | None, decoder_workers: int | None
-) -> int | None:
-    """Fold the deprecated ``decoder_workers=`` spelling into ``workers=``.
-
-    ``workers=`` is the one canonical worker-count keyword across the
-    public API (the spelling the ``Decoder`` constructor uses).  The
-    pre-redesign ``decoder_workers=`` is still honoured — warning once
-    per process — but passing both is an error.
-    """
-    if decoder_workers is None:
-        return workers
-    if workers is not None:
-        raise TypeError(
-            "pass either workers= or the deprecated decoder_workers=, "
-            "not both"
-        )
-    global _DECODER_WORKERS_WARNED
-    if not _DECODER_WORKERS_WARNED:
-        _DECODER_WORKERS_WARNED = True
-        import warnings
-
-        warnings.warn(
-            "decoder_workers= is deprecated; use workers= instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return decoder_workers
 
 #: Bounded decoder memo: content-derived cache key -> MatchingDecoder.
 _DECODER_CACHE: OrderedDict[tuple, MatchingDecoder] = OrderedDict()
@@ -213,11 +180,12 @@ def _cached_decoder(
             "dem", config_key, lambda: build_dem(build_circuit())
         )
     decoder = MatchingDecoder(dem, method=method)
-    if store is not None and decoder.use_matrices and method != "uf":
+    graph = decoder.graph
+    if store is not None and graph.uses_whole_tables and method != "uf":
         dist, parity = store.get_or_build(
-            "path_matrices", config_key, decoder.graph.ensure_matrices
+            "path_matrices", config_key, graph.ensure_matrices
         )
-        decoder.graph.adopt_matrices(dist, parity)
+        graph.adopt_matrices(dist, parity)
     _DECODER_CACHE[key] = decoder
     if len(_DECODER_CACHE) > _DECODER_CACHE_SIZE:
         _DECODER_CACHE.popitem(last=False)
@@ -292,7 +260,6 @@ def memory_experiment(
     decoder_method: str = "blossom",
     decoder_aware_of_defects: bool = False,
     workers: int | None = None,
-    decoder_workers: int | None = None,
 ) -> MemoryResult:
     """Run one ``basis``-memory experiment and decode it.
 
@@ -306,9 +273,7 @@ def memory_experiment(
     forked processes (``MatchingDecoder.decode_batch``); dense d ≥ 7
     sweeps then scale with cores.  It only affects scheduling, never
     predictions, so it is deliberately *not* part of the decoder cache
-    key — memoised decoders are reused across worker settings.  The
-    pre-redesign spelling ``decoder_workers=`` is still accepted but
-    deprecated (warns once per process).
+    key — memoised decoders are reused across worker settings.
 
     ``chunk_shots=N`` streams the experiment in bounded-memory chunks
     of at most ``N`` shots, each sampled from an independent child
@@ -316,7 +281,6 @@ def memory_experiment(
     total decode work matches the one-batch run.  Chunked and unchunked
     runs of the same seed draw different (equally valid) samples.
     """
-    workers = resolve_workers(workers, decoder_workers)
     if rounds is None:
         rounds = max(3, min(code.n, 25))
     circuit = prime_compiled(
@@ -377,7 +341,6 @@ def logical_error_rate(
     decoder_method: str = "blossom",
     decoder_aware_of_defects: bool = False,
     workers: int | None = None,
-    decoder_workers: int | None = None,
 ) -> float:
     """Combined per-round logical error rate over both bases.
 
@@ -387,7 +350,6 @@ def logical_error_rate(
     ``seed`` (child seeds via ``np.random.SeedSequence.spawn``), so the
     two memory experiments are decorrelated even at a fixed seed.
     """
-    workers = resolve_workers(workers, decoder_workers)
     if seed is None:
         basis_seeds = {"Z": None, "X": None}
     else:

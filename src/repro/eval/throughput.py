@@ -202,7 +202,6 @@ def decoding_throughput(
     seed: int | None = None,
     decoder_method: str = "blossom",
     workers: int | None = None,
-    decoder_workers: int | None = None,
 ) -> DecodeThroughputResult:
     """Time the packed sample→decode pipeline on one memory experiment.
 
@@ -211,17 +210,11 @@ def decoding_throughput(
     time per stage.  Decoder construction (DEM + all-pairs matrices)
     happens before timing starts and is memoised across calls via the
     Monte-Carlo decoder cache, so the figures reflect steady-state
-    throughput, not setup.  ``workers=`` is the canonical worker-count
-    spelling; ``decoder_workers=`` is a deprecated alias.
+    throughput, not setup.
     """
-    from repro.eval.montecarlo import (
-        _cached_decoder,
-        _chunk_plan,
-        resolve_workers,
-    )
+    from repro.eval.montecarlo import _cached_decoder, _chunk_plan
     from repro.sim import memory_circuit, sample_detectors
 
-    workers = resolve_workers(workers, decoder_workers)
     if rounds is None:
         rounds = max(3, min(code.n, 25))
     circuit = memory_circuit(code, basis, rounds, noise)
@@ -229,8 +222,8 @@ def decoding_throughput(
         code, basis, rounds, noise, None, None, decoder_method,
         circuit=circuit,
     )
-    if decoder.use_matrices:
-        decoder.graph.ensure_matrices()
+    if decoder.graph.uses_whole_tables:
+        decoder.graph.ensure_route_tables()
     sample_detectors(circuit, 64, seed=seed)  # warm the compile cache
     errors = 0
     sample_seconds = 0.0

@@ -481,8 +481,7 @@ def sample_detectors(
     *,
     seed: int | None = None,
     packed: bool = True,
-    output: str | None = None,
-    packed_output: bool | None = None,
+    output: str = "rows",
 ) -> tuple[np.ndarray, np.ndarray] | tuple[PackedBits, PackedBits]:
     """One-call convenience wrapper around :class:`FrameSampler`.
 
@@ -492,22 +491,7 @@ def sample_detectors(
     :class:`~repro.utils.gf2.PackedBits` detector/observable bitplanes
     (see :meth:`FrameSampler.sample_packed`).  The same ``seed`` yields
     the same bits either way.
-
-    .. deprecated::
-        The boolean ``packed_output`` flag is superseded by ``output``;
-        it is still accepted (``True`` means ``output="packed"``) but
-        warns once per process.
     """
-    if packed_output is not None:
-        _warn_packed_output_once()
-        if output is not None:
-            raise TypeError(
-                "pass either output= or the deprecated packed_output=, "
-                "not both"
-            )
-        output = "packed" if packed_output else "rows"
-    elif output is None:
-        output = "rows"
     if output not in ("packed", "rows"):
         raise ValueError(
             f"output must be 'packed' or 'rows', got {output!r}"
@@ -516,20 +500,3 @@ def sample_detectors(
     if output == "packed":
         return sampler.sample_packed(shots)
     return sampler.sample(shots)
-
-
-_PACKED_OUTPUT_WARNED = False
-
-
-def _warn_packed_output_once() -> None:
-    global _PACKED_OUTPUT_WARNED
-    if not _PACKED_OUTPUT_WARNED:
-        _PACKED_OUTPUT_WARNED = True
-        import warnings
-
-        warnings.warn(
-            "sample_detectors(packed_output=...) is deprecated; use "
-            "output='packed' or output='rows' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )

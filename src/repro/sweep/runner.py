@@ -38,7 +38,7 @@ import signal
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import json
@@ -46,11 +46,7 @@ import os
 
 import numpy as np
 
-from repro.eval.montecarlo import (
-    chunk_plan,
-    memory_experiment,
-    resolve_workers,
-)
+from repro.eval.montecarlo import chunk_plan, memory_experiment
 from repro.sim import NoiseModel
 from repro.store import ArtifactStore, atomic_write_text, key_digest, using_store
 from repro.surface import rotated_surface_code
@@ -107,24 +103,14 @@ class SweepCell:
 class SweepSpec:
     """The full, content-fingerprinted definition of a sweep.
 
-    ``workers`` is the canonical worker-count field (it names the
-    ``workers=`` kwarg handed to ``decode_batch``); constructing a spec
-    with the pre-redesign ``decoder_workers=`` still works but warns
-    once per process.  The rename changes spec fingerprints, which is
-    covered by the ``JOURNAL_FORMAT`` bump to 2 — journals written by
-    format-1 runners are not resumable either way.
+    ``workers`` is the worker-count field (it names the ``workers=``
+    kwarg handed to ``decode_batch``).
     """
 
     cells: tuple[SweepCell, ...]
     seed: int = 0
     chunk_shots: int | None = None
     workers: int | None = None
-    decoder_workers: InitVar[int | None] = None
-
-    def __post_init__(self, decoder_workers: int | None) -> None:
-        if decoder_workers is not None:
-            resolved = resolve_workers(self.workers, decoder_workers)
-            object.__setattr__(self, "workers", resolved)
 
     def fingerprint(self) -> str:
         """Content digest; must match for a journal to be resumable."""

@@ -15,6 +15,17 @@ async def serve(stream, *, max_workers=2):
 
 
 def legacy_only(shots, *, decoder_workers=None):
-    # decoder_workers without the canonical workers beside it is not
-    # the shim shape — it IS the old API.
+    # The pre-unification spelling on its own.
     return shots, decoder_workers
+
+
+def shim(shots, *, workers=None, decoder_workers=None):
+    # The retired deprecation-shim shape: the alias is flagged even
+    # with the canonical spelling bound beside it.
+    return shots, workers, decoder_workers
+
+
+class Spec:
+    def __post_init__(self, decoder_workers):
+        # Dataclass InitVar plumbing for the retired alias.
+        return decoder_workers

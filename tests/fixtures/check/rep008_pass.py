@@ -1,23 +1,11 @@
 # virtual-path: src/repro/eval/good_workers.py
-# Canonical workers= spelling, the sanctioned shim shape, and
-# call-site keywords into foreign APIs (which keep their own names).
+# Canonical workers= spelling and call-site keywords into foreign APIs
+# (which keep their own names).
 from concurrent.futures import ThreadPoolExecutor
 
 
 def run_pool(shots, *, workers=None):
     return shots, workers
-
-
-def shim(shots, *, workers=None, decoder_workers=None):
-    # Deprecation-shim shape: canonical spelling bound alongside.
-    return shots, workers, decoder_workers
-
-
-class Spec:
-    def __post_init__(self, decoder_workers):
-        # Dataclass InitVar plumbing: the canonical field lives on
-        # the class, only the deprecated alias reaches __post_init__.
-        return decoder_workers
 
 
 def make_pool(workers):

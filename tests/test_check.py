@@ -66,7 +66,7 @@ class TestSeededFixtures:
         "REP005": ("rep005_fail.py", 3),
         "REP006": ("rep006_fail.py", 3),
         "REP007": ("rep007_fail.py", 2),
-        "REP008": ("rep008_fail.py", 4),
+        "REP008": ("rep008_fail.py", 6),
     }
 
     @pytest.mark.parametrize("code", RULE_CODES)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decode import MatchingDecoder
-from repro.decode.graph import BOUNDARY, DecodingGraph
+from repro.decode.graph import DecodingGraph
 from repro.sim import NoiseModel, build_dem, memory_circuit, sample_detectors
 from repro.sim.dem import DetectorErrorModel, ErrorMechanism
 from repro.surface import rotated_surface_code
@@ -24,8 +24,11 @@ def toy_dem():
 class TestDecodingGraph:
     def test_nodes_and_boundary(self):
         g = DecodingGraph(toy_dem())
-        assert BOUNDARY in g.graph
-        assert g.graph.number_of_edges() == 4
+        assert g.boundary_index == g.num_detectors == 3
+        us, vs = g.edge_endpoints
+        assert len(us) == len(vs) == len(g.edge_weights) == 4
+        edges = set(zip(us.tolist(), vs.tolist(), strict=True))
+        assert edges == {(0, 3), (0, 1), (1, 2), (2, 3)}
 
     def test_parallel_edges_merge(self):
         dem = DetectorErrorModel(
@@ -34,14 +37,51 @@ class TestDecodingGraph:
             num_observables=1,
         )
         g = DecodingGraph(dem)
-        assert g.graph.number_of_edges() == 1
-        p = g.graph[0][1]["probability"]
-        assert p == pytest.approx(0.01 * 0.98 + 0.02 * 0.99)
+        assert len(g.edge_weights) == 1
+        p = 0.01 * 0.98 + 0.02 * 0.99
+        assert g.edge_weights[0] == pytest.approx(np.log((1 - p) / p))
 
     def test_observable_parity_along_path(self):
-        g = DecodingGraph(toy_dem())
-        assert g.path_observable_parity([BOUNDARY, 0]) == 1
-        assert g.path_observable_parity([0, 1, 2]) == 0
+        # The chain with a less likely right-hand boundary, so every
+        # shortest path is unique.
+        mechanisms = list(toy_dem().mechanisms)
+        mechanisms[-1] = ErrorMechanism(0.001, (2,), False)
+        g = DecodingGraph(DetectorErrorModel(mechanisms, 3, 1))
+        _, parity = g.ensure_matrices()
+        b = g.boundary_index
+        assert parity[0, b] == 1  # d0 - boundary crosses the observable
+        assert parity[1, b] == 1  # d1 - d0 - boundary, two hops
+        assert parity[0, 2] == 0  # d0 - d1 - d2 does not
+        assert parity[2, 0] == 0
+
+
+class TestObservableCount:
+    """Decoding predicts one observable flip, so a DEM must have one."""
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_rejects_other_observable_counts(self, count):
+        dem = DetectorErrorModel(
+            toy_dem().mechanisms, num_detectors=3, num_observables=count
+        )
+        with pytest.raises(ValueError, match=f"got {count}"):
+            DecodingGraph(dem)
+        with pytest.raises(ValueError, match="exactly one observable"):
+            MatchingDecoder(dem)
+
+    def test_build_dem_stays_general(self):
+        """The check lives in the decoder, not in DEM extraction."""
+        from repro.sim.circuit import Circuit
+
+        c = Circuit()
+        c.append("X_ERROR", [0, 1], 0.01)
+        c.append("M", [0, 1])
+        c.detector([1])
+        c.observable([1])
+        c.observable([0])
+        dem = build_dem(c)
+        assert dem.num_observables == 2
+        with pytest.raises(ValueError, match="got 2"):
+            MatchingDecoder(dem)
 
 
 class TestMatchingDecoder:

@@ -1,13 +1,14 @@
-"""Agreement of the fast decode pipeline with the seed implementation.
+"""Agreement of the decode pipeline with the seed implementation.
 
-The matrix-backed blossom path (all-pairs lookups, component
-decomposition, subset-DP/native-blossom matching) must reproduce the
-seed's per-shot-Dijkstra predictions exactly; greedy likewise.  The
-union-find decoder is a different algorithm — it is validated for high
-agreement and equal behaviour on unambiguous cases.
+The blossom pipeline (route tables, component decomposition,
+subset-DP/native-blossom matching) must reproduce the seed's
+per-shot-Dijkstra predictions (:class:`decode_oracles.SeedDecoder`)
+exactly on tie-free graphs; greedy likewise.  The union-find decoder is
+a different algorithm — it is validated for high agreement and equal
+behaviour on unambiguous cases.
 
 Beyond tie-free predictions, every exact backend optimises the same
-objective, so :meth:`MatchingDecoder.matching_weight` must return
+objective, so :func:`decode_oracles.matching_weight` must return
 identical totals for the native blossom, the subset DP and the legacy
 formulation — and match a networkx reference fed the same reduced
 graph (networkx stays available as a *test oracle*; the decode package
@@ -22,8 +23,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from decode_oracles import SeedDecoder, SerialMatrixDecoder, matching_weight
 from repro.decode import MatchingDecoder
-from repro.decode import mwpm as mwpm_module
+from repro.decode import batch as batch_module
+from repro.decode import graph as graph_module
 from repro.decode.graph import DecodingGraph
 from repro.sim import NoiseModel, build_dem, memory_circuit, sample_detectors
 from repro.sim.dem import DetectorErrorModel, ErrorMechanism
@@ -52,12 +55,12 @@ def all_syndromes(n):
 
 class TestBlossomAgreement:
     def test_exhaustive_on_random_dems(self):
-        """Matrix blossom == legacy blossom on every syndrome."""
+        """Pipeline blossom == seed blossom on every syndrome."""
         rng = np.random.default_rng(42)
         for _ in range(12):
             dem = random_dem(rng)
             new = MatchingDecoder(dem)
-            legacy = MatchingDecoder(dem, use_matrices=False, cache_size=0)
+            legacy = SeedDecoder(dem)
             for s in all_syndromes(dem.num_detectors):
                 assert new.decode(s) == legacy.decode(s)
 
@@ -69,10 +72,10 @@ class TestBlossomAgreement:
                 rng, max_detectors=11, max_mechanisms=40, min_detectors=10
             )
             new = MatchingDecoder(dem)
-            legacy = MatchingDecoder(dem, use_matrices=False, cache_size=0)
+            legacy = SeedDecoder(dem)
             checked = 0
             for s in all_syndromes(dem.num_detectors):
-                if s.sum() <= mwpm_module.DP_SCALAR_LIMIT:
+                if s.sum() <= batch_module.DP_SCALAR_LIMIT:
                     continue  # the scalar DP is covered elsewhere
                 assert new.decode(s) == legacy.decode(s)
                 checked += 1
@@ -87,7 +90,7 @@ class TestBlossomAgreement:
         )
         dem = build_dem(circuit)
         new = MatchingDecoder(dem)
-        legacy = MatchingDecoder(dem, use_matrices=False, cache_size=0)
+        legacy = SeedDecoder(dem)
         detectors, _ = sample_detectors(circuit, shots, seed=9)
         assert (new.decode_batch(detectors) == legacy.decode_batch(detectors)).all()
 
@@ -96,9 +99,7 @@ class TestBlossomAgreement:
         for _ in range(10):
             dem = random_dem(rng)
             new = MatchingDecoder(dem, method="greedy")
-            legacy = MatchingDecoder(
-                dem, method="greedy", use_matrices=False, cache_size=0
-            )
+            legacy = SeedDecoder(dem, method="greedy")
             for s in all_syndromes(dem.num_detectors):
                 assert new.decode(s) == legacy.decode(s)
 
@@ -150,10 +151,13 @@ class TestBatchAndCache:
         rng = np.random.default_rng(3)
         dem = random_dem(rng)
         dec = MatchingDecoder(dem)
+        serial = SerialMatrixDecoder(dem)
         samples = rng.integers(0, 2, size=(40, dem.num_detectors), dtype=np.uint8)
         batch = dec.decode_batch(samples)
         singles = np.array([dec.decode(row) for row in samples], dtype=np.uint8)
         assert (batch == singles).all()
+        reference = [serial.decode(row) for row in samples]
+        assert (batch == np.array(reference, dtype=np.uint8)).all()
 
     def test_zero_syndrome_fast_path(self):
         rng = np.random.default_rng(3)
@@ -183,16 +187,18 @@ class TestBatchAndCache:
             dec.decode(s)
         assert len(dec._cache) <= 4
 
-    def test_matrix_matches_lazy_threshold_fallback(self):
-        """Above the node limit the decoder transparently uses Dijkstra."""
+    def test_matrix_matches_lazy_threshold_fallback(self, monkeypatch):
+        """Above the node limit the decoder transparently switches to
+        per-batch route tables, with identical predictions."""
         rng = np.random.default_rng(8)
         dem = random_dem(rng)
         auto = MatchingDecoder(dem)
-        graph = DecodingGraph(dem, matrix_node_limit=1)
-        assert not graph.use_matrices
-        forced = MatchingDecoder(dem, use_matrices=False)
+        monkeypatch.setattr(graph_module, "MATRIX_NODE_LIMIT", 3)
+        forced = MatchingDecoder(dem)
+        assert not forced.graph.uses_whole_tables
         for s in all_syndromes(dem.num_detectors):
             assert auto.decode(s) == forced.decode(s)
+        assert forced.graph._matrices is None
 
 
 class TestParallelMergeRule:
@@ -212,10 +218,12 @@ class TestParallelMergeRule:
         for order in itertools.permutations(channels):
             dem = DetectorErrorModel(list(order), num_detectors=2, num_observables=1)
             g = DecodingGraph(dem)
-            assert g.graph[0][1]["observable"] is True
+            assert g.edge_parities.tolist() == [1]
             # Channels combine by parity (an odd number must fire).
             expected = 0.5 * (1 - (1 - 2 * 0.008) ** 2 * (1 - 2 * 0.010))
-            assert g.graph[0][1]["probability"] == pytest.approx(expected)
+            assert g.edge_weights[0] == pytest.approx(
+                np.log((1 - expected) / expected)
+            )
 
     def test_combined_probability_still_independent_or(self):
         dem = DetectorErrorModel(
@@ -224,8 +232,9 @@ class TestParallelMergeRule:
             num_observables=1,
         )
         g = DecodingGraph(dem)
-        assert g.graph[0][1]["probability"] == pytest.approx(0.01 * 0.98 + 0.02 * 0.99)
-        assert g.graph[0][1]["observable"] is True
+        p = 0.01 * 0.98 + 0.02 * 0.99
+        assert g.edge_weights[0] == pytest.approx(np.log((1 - p) / p))
+        assert g.edge_parities.tolist() == [1]
 
 
 class TestMemoryExperimentMethods:
@@ -316,10 +325,10 @@ class TestMatchingWeights:
             for s in all_syndromes(dem.num_detectors):
                 if not s.any():
                     continue
-                w_blossom = dec.matching_weight(s, matcher="blossom")
-                w_dp = dec.matching_weight(s, matcher="dp")
-                w_legacy = dec.matching_weight(s, matcher="legacy")
-                w_sparse = dec.matching_weight(s, matcher="sparse")
+                w_blossom = matching_weight(dec, s, matcher="blossom")
+                w_dp = matching_weight(dec, s, matcher="dp")
+                w_legacy = matching_weight(dec, s, matcher="legacy")
+                w_sparse = matching_weight(dec, s, matcher="sparse")
                 assert w_blossom == pytest.approx(w_dp)
                 assert w_blossom == pytest.approx(w_legacy)
                 assert w_blossom == pytest.approx(w_sparse)
@@ -332,7 +341,7 @@ class TestMatchingWeights:
             for s in all_syndromes(dem.num_detectors):
                 if not s.any():
                     continue
-                assert dec.matching_weight(s) == pytest.approx(
+                assert matching_weight(dec, s) == pytest.approx(
                     networkx_reduced_weight(dec, s)
                 )
 
@@ -342,7 +351,7 @@ class TestMatchingWeights:
         dec = MatchingDecoder(dem)
         sample = np.ones(dem.num_detectors, dtype=np.uint8)
         with pytest.raises(ValueError):
-            dec.matching_weight(sample, matcher="nope")
+            matching_weight(dec, sample, matcher="nope")
 
 
 class TestLargeComponents:
@@ -382,22 +391,22 @@ class TestLargeComponents:
             )
             sparse = MatchingDecoder(dem)
             dense = MatchingDecoder(dem, matcher="dense")
-            legacy = MatchingDecoder(dem, use_matrices=False, cache_size=0)
+            legacy = SeedDecoder(dem)
             for s in random_syndromes(rng, dem.num_detectors, 25, 22):
-                if s.sum() <= mwpm_module.DP_DEFECT_LIMIT:
+                if s.sum() <= batch_module.DP_DEFECT_LIMIT:
                     continue
                 assert dense.decode(s) == legacy.decode(s)
                 assert sparse.decode(s) == legacy.decode(s)
-                assert dense.matching_weight(s) == pytest.approx(
+                assert matching_weight(dense, s) == pytest.approx(
                     networkx_reduced_weight(dense, s)
                 )
-                assert dense.matching_weight(s) == pytest.approx(
-                    dense.matching_weight(s, matcher="legacy")
+                assert matching_weight(dense, s) == pytest.approx(
+                    matching_weight(dense, s, matcher="legacy")
                 )
-                assert dense.matching_weight(s, matcher="sparse") == (
-                    pytest.approx(dense.matching_weight(s))
+                assert matching_weight(dense, s, matcher="sparse") == (
+                    pytest.approx(matching_weight(dense, s))
                 )
-        assert max(seen, default=0) > mwpm_module.DP_DEFECT_LIMIT
+        assert max(seen, default=0) > batch_module.DP_DEFECT_LIMIT
 
     @pytest.mark.parametrize(
         "p,rounds,defective",
@@ -425,23 +434,23 @@ class TestLargeComponents:
         )
         dem = build_dem(circuit)
         new = MatchingDecoder(dem, matcher="dense")
-        legacy = MatchingDecoder(dem, use_matrices=False, cache_size=0)
+        legacy = SeedDecoder(dem)
         detectors, _ = sample_detectors(circuit, 60, seed=7)
         assert (
             new.decode_batch(detectors) == legacy.decode_batch(detectors)
         ).all()
         dense_rows = np.nonzero(
-            detectors.sum(axis=1) > mwpm_module.DP_DEFECT_LIMIT
+            detectors.sum(axis=1) > batch_module.DP_DEFECT_LIMIT
         )[0]
         assert dense_rows.size > 0
         for row in dense_rows[:10]:
-            assert new.matching_weight(detectors[row]) == pytest.approx(
+            assert matching_weight(new, detectors[row]) == pytest.approx(
                 networkx_reduced_weight(new, detectors[row])
             )
-            assert new.matching_weight(
-                detectors[row], matcher="sparse"
-            ) == pytest.approx(new.matching_weight(detectors[row]))
-        assert max(seen, default=0) > mwpm_module.DP_DEFECT_LIMIT
+            assert matching_weight(
+                new, detectors[row], matcher="sparse"
+            ) == pytest.approx(matching_weight(new, detectors[row]))
+        assert max(seen, default=0) > batch_module.DP_DEFECT_LIMIT
 
 
 class TestShardedDecode:

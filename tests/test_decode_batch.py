@@ -2,15 +2,16 @@
 
 Covers the :class:`repro.decode.base.Decoder` batching contract shared
 by every decoder (edge-case inputs, packed bitplane input, sharding
-floor), bit-identity of the vectorised blossom pipeline against serial
-per-shot decoding, determinism of repeated batches despite
-tie-ambiguous matchings, and union-find batch agreement on
-untreated-defect circuits.
+floor), bit-identity of the vectorised blossom pipeline against the
+serial per-shot oracle (``decode_oracles.SerialMatrixDecoder``),
+determinism of repeated batches despite tie-ambiguous matchings, and
+union-find batch agreement on untreated-defect circuits.
 """
 
 import numpy as np
 import pytest
 
+from decode_oracles import SerialMatrixDecoder
 from repro.decode import DecodingGraph, MatchingDecoder, UnionFindDecoder
 from repro.sim import NoiseModel, build_dem, memory_circuit, sample_detectors
 from repro.sim.dem import DetectorErrorModel, ErrorMechanism
@@ -106,7 +107,7 @@ class TestVectorisedAgreement:
         for _ in range(6):
             dem = random_dem(rng, max_detectors=12, max_mechanisms=40)
             batch_dec = MatchingDecoder(dem)
-            serial_dec = MatchingDecoder(dem, cache_size=0)
+            serial_dec = SerialMatrixDecoder(dem, cache_size=0)
             samples = rng.integers(
                 0, 2, size=(200, dem.num_detectors), dtype=np.uint8
             )
@@ -121,7 +122,7 @@ class TestVectorisedAgreement:
     def test_batch_matches_per_shot_on_defective_circuit(self):
         dem, detectors, _ = defective_d5_samples()
         batch_dec = MatchingDecoder(dem)
-        serial_dec = MatchingDecoder(dem, cache_size=0)
+        serial_dec = SerialMatrixDecoder(dem, cache_size=0)
         batch = batch_dec.decode_batch(detectors)
         singles = np.fromiter(
             (serial_dec.decode(row) for row in detectors),

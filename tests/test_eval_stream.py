@@ -73,6 +73,18 @@ class TestDecodingThroughput:
         assert result.sample_shots_per_sec > 0
         assert 0.0 <= result.logical_error_rate < 0.2
 
+    def test_takes_workers(self):
+        """The same ``workers=`` keyword as every pool-fronting API."""
+        result = decoding_throughput(
+            rotated_surface_code(3).code,
+            NoiseModel.uniform(1e-3),
+            rounds=3,
+            shots=200,
+            seed=2,
+            workers=1,
+        )
+        assert result.shots == 200
+
 
 class TestCalibratedEndToEnd:
     def test_calibrated_lambda_model_accepted(self):

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decode_oracles import SerialMatrixDecoder
 from repro.decode import MatchingDecoder
 from repro.sim import (
     FrameSampler,
@@ -98,8 +99,8 @@ def test_word_dedup_equals_row_dedup_and_packed_input(seed, shots, density):
     duplicate — must give the same unique count whether rows are
     deduplicated as bytes or as packed uint64 words, and decode to the
     same predictions through every input flavour: the word-dedup batch
-    path, a reference byte-row dedup + per-unique serial decode, and a
-    ``PackedBits`` bitplane.
+    path, a reference byte-row dedup + per-unique serial oracle decode,
+    and a ``PackedBits`` bitplane.
     """
     decoder = MatchingDecoder(_DEM)
     width = decoder.num_detectors
@@ -115,8 +116,8 @@ def test_word_dedup_equals_row_dedup_and_packed_input(seed, shots, density):
     assert len(unique_words) == len(unique_rows)
 
     pred_batch = decoder.decode_batch(rows)
-    # Reference: byte-row dedup + the serial single-shot front door.
-    reference = MatchingDecoder(_DEM)
+    # Reference: byte-row dedup + the serial per-shot oracle.
+    reference = SerialMatrixDecoder(_DEM)
     uniq, inverse = np.unique(rows[nonzero], axis=0, return_inverse=True)
     per_unique = np.array(
         [reference.decode(u) for u in uniq], dtype=np.uint8

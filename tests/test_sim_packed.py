@@ -8,6 +8,7 @@ circuits), bit-identical samples under a shared pre-drawn noise mask,
 and correct round-trips for ragged shot counts (shots % 64 != 0).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,16 @@ from deform_oracles import deformed_corpus
 from dem_oracle import per_mechanism_dem
 from repro.deform import data_q_rm, syndrome_q_rm
 from repro.eval import montecarlo as mc
-from repro.sim import Circuit, FrameSampler, NoiseModel, build_dem, memory_circuit
+from repro.sim import (
+    Circuit,
+    FrameSampler,
+    NoiseModel,
+    build_dem,
+    memory_circuit,
+    sample_detectors,
+)
 from repro.surface import rotated_surface_code
+from repro.utils.gf2 import PackedBits
 
 
 def toy_circuit(p=3e-3):
@@ -285,6 +294,26 @@ class TestSamplerAgreement:
         det, obs = FrameSampler(c, seed=1, packed=False).sample(10)
         assert det.shape == (10, c.num_detectors)
         assert obs.shape == (10, c.num_observables)
+
+
+class TestSampleOutputContract:
+    """``output=`` picks the sample container: rows or bitplanes."""
+
+    def test_output_rows_is_default(self):
+        det, obs = sample_detectors(toy_circuit(), 8, seed=1)
+        assert isinstance(det, np.ndarray)
+        assert isinstance(obs, np.ndarray)
+
+    def test_output_packed(self):
+        det, obs = sample_detectors(toy_circuit(), 8, seed=1, output="packed")
+        assert isinstance(det, PackedBits)
+        assert isinstance(obs, PackedBits)
+        rows, _ = sample_detectors(toy_circuit(), 8, seed=1)
+        np.testing.assert_array_equal(det.transposed().unpack(), rows)
+
+    def test_unknown_output_is_an_error(self):
+        with pytest.raises(ValueError, match="packed"):
+            sample_detectors(toy_circuit(), 8, seed=1, output="bitplane")
 
 
 class TestCompiledCircuit:

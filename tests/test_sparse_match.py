@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decode_oracles import SeedDecoder, SerialMatrixDecoder, matching_weight
 from repro.decode import MatchingDecoder
 from repro.decode.batch import _DP_STACK_MAX
 from repro.decode.sparse_match import (
@@ -159,15 +160,15 @@ class TestRandomDems:
             )
             sparse = MatchingDecoder(dem)
             dense = MatchingDecoder(dem, matcher="dense")
-            legacy = MatchingDecoder(dem, use_matrices=False, cache_size=0)
+            legacy = SeedDecoder(dem)
             for s in random_syndromes(rng, dem.num_detectors, 20, 20):
                 if s.sum() < SPARSE_MIN_DEFECTS:
                     continue
                 hit += 1
                 assert sparse.decode(s) == legacy.decode(s)
                 assert sparse.decode(s) == dense.decode(s)
-                w = sparse.matching_weight(s, matcher="sparse")
-                assert w == pytest.approx(sparse.matching_weight(s))
+                w = matching_weight(sparse, s, matcher="sparse")
+                assert w == pytest.approx(matching_weight(sparse, s))
                 assert w == pytest.approx(networkx_reduced_weight(sparse, s))
         assert hit > 0
 
@@ -207,9 +208,9 @@ class TestRandomDems:
         rows = np.nonzero(detectors.sum(axis=1) >= SPARSE_MIN_DEFECTS)[0]
         assert rows.size > 0
         for row in rows[:10]:
-            w_sparse = dec.matching_weight(detectors[row], matcher="sparse")
+            w_sparse = matching_weight(dec, detectors[row], matcher="sparse")
             assert w_sparse == pytest.approx(
-                dec.matching_weight(detectors[row])
+                matching_weight(dec, detectors[row])
             )
 
 
@@ -258,8 +259,10 @@ class TestDecoderDispatch:
         with pytest.raises(ValueError):
             MatchingDecoder(dem, matcher="nope")
         with pytest.raises(ValueError):
-            MatchingDecoder(dem).matching_weight(
-                np.ones(dem.num_detectors, dtype=np.uint8), matcher="bogus"
+            matching_weight(
+                MatchingDecoder(dem),
+                np.ones(dem.num_detectors, dtype=np.uint8),
+                matcher="bogus",
             )
 
 
@@ -272,9 +275,10 @@ class TestDenseCircuits:
         ],
     )
     def test_serial_batch_identity_and_weights(self, p, rounds, defective):
-        """Sparse default on dense circuits: the serial and vectorised
-        paths agree bit-for-bit, and the weight objective matches the
-        dense engine and the networkx oracle on >cutoff rows."""
+        """Sparse default on dense circuits: the pipeline agrees
+        bit-for-bit with the serial per-shot oracle, and the weight
+        objective matches the dense engine and the networkx oracle on
+        >cutoff rows."""
         patch = rotated_surface_code(5)
         circuit = memory_circuit(
             patch.code,
@@ -287,7 +291,7 @@ class TestDenseCircuits:
         detectors, _ = sample_detectors(circuit, 50, seed=23)
         dec = MatchingDecoder(dem)
         batch = dec.decode_batch(detectors)
-        serial = MatchingDecoder(dem)
+        serial = SerialMatrixDecoder(dem)
         singles = np.array(
             [serial.decode(row) for row in detectors], dtype=np.uint8
         )
@@ -295,8 +299,8 @@ class TestDenseCircuits:
         rows = np.nonzero(detectors.sum(axis=1) >= SPARSE_MIN_DEFECTS)[0]
         assert rows.size > 0
         for row in rows[:6]:
-            w = dec.matching_weight(detectors[row], matcher="sparse")
-            assert w == pytest.approx(dec.matching_weight(detectors[row]))
+            w = matching_weight(dec, detectors[row], matcher="sparse")
+            assert w == pytest.approx(matching_weight(dec, detectors[row]))
             assert w == pytest.approx(
                 networkx_reduced_weight(dec, detectors[row])
             )

@@ -372,6 +372,23 @@ class TestSpecPlumbing:
             base.fingerprint() != small_spec(chunk_shots=81).fingerprint()
         )
 
+    def test_fingerprint_pinned_digest(self):
+        """A spec's digest is part of the journal contract: resuming
+        needs it unchanged across releases (value recorded before the
+        ``decoder_workers`` alias was retired)."""
+        spec = SweepSpec(
+            cells=(
+                SweepCell(distance=3, p=1e-3, rounds=3, shots=64),
+                SweepCell(distance=5, p=2e-3),
+            ),
+            seed=7,
+            chunk_shots=100,
+            workers=2,
+        )
+        assert spec.fingerprint() == (
+            "d79a20af3a7063ec77134b4a7fbd30e57fed84da11b96234323abcd57f5d945f"
+        )
+
     def test_defect_sets_order_independent(self):
         a = SweepSpec(
             cells=(SweepCell(3, 1e-3, defective_data=frozenset({1, 5, 9})),)

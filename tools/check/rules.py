@@ -446,12 +446,9 @@ class CanonicalWorkerSpelling(Rule):
     worker count threads through the stack without renaming at each
     boundary.  This rule flags any function *definition* under
     ``src/repro/`` that binds a worker-count parameter under another
-    spelling.  ``decoder_workers`` (the pre-unification spelling) is
-    allowed only in the deprecation-shim shape: a signature that also
-    binds the canonical ``workers``, or a dataclass ``__post_init__``
-    (which receives only the ``InitVar`` alias — the canonical field
-    lives on the class).  Call-site keywords are not flagged: calls
-    into stdlib/third-party APIs keep whatever names those APIs use.
+    spelling, the retired ``decoder_workers`` alias included.
+    Call-site keywords are not flagged: calls into stdlib/third-party
+    APIs keep whatever names those APIs use.
     """
 
     code = "REP008"
@@ -482,21 +479,14 @@ class CanonicalWorkerSpelling(Rule):
                 *node.args.args,
                 *node.args.kwonlyargs,
             ]
-            bound = {p.arg for p in params}
             for param in params:
                 if param.arg not in self._NONCANONICAL:
                     continue
-                if param.arg == "decoder_workers" and (
-                    "workers" in bound or node.name == "__post_init__"
-                ):
-                    continue  # the sanctioned deprecation-shim shape
                 yield self.finding(
                     ctx,
                     param,
                     f"worker-count parameter {param.arg!r}; the canonical "
-                    "spelling across the stack is workers= (keep "
-                    "decoder_workers only as a deprecated alias beside "
-                    "workers in the same signature)",
+                    "spelling across the stack is workers=",
                 )
 
 
