@@ -72,7 +72,8 @@ region-growing matcher is slower than the dense blossom there
                        "blossom"/"blossom[wN]"; match_smoke: "sparse",
                        "dense"),
      "shots_per_sec":  the throughput figure (builds/sec for build
-                       benchmarks, matchings/sec for match_smoke)}
+                       benchmarks, matchings/sec for match_smoke;
+                       null for a stage timed at 0 s)}
 
 plus benchmark-specific bookkeeping: ``rounds`` (all), ``seconds``
 (build/dem_build), ``mechanism_count`` (dem_build), ``shots`` (sample/
@@ -89,7 +90,10 @@ record also carries a ``machine`` dict (``nproc``, ``cpu``,
 ``python``/``numpy``/``scipy`` versions, and ``blossom_kernel`` —
 ``"compiled"`` or ``"python"``, which backend decoded) so numbers
 recorded in different containers — e.g. the 1-core CI runner vs a
-laptop — are self-explaining when diffed.
+laptop — are self-explaining when diffed.  The report is strict JSON:
+an undefined figure (a rate or fraction over 0 s, a latency percentile
+of a service that decoded nothing) is written as ``null``, never as
+``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -177,8 +181,15 @@ MATCH_SMOKE_MIN_RATIO = 1.0
 MATCH_SMOKE_SEED = 5
 
 
-def _rate(count: int, seconds: float) -> float:
-    return count / seconds if seconds > 0 else float("inf")
+def _rate(count: int, seconds: float) -> float | None:
+    """``count / seconds``, or ``None`` (JSON ``null``) for a stage timed
+    at 0 s, whose rate is undefined: reports are strict JSON."""
+    return count / seconds if seconds > 0 else None
+
+
+def _finite(value: float) -> float | None:
+    """``value``, or ``None`` (JSON ``null``) when it is NaN or infinite."""
+    return value if np.isfinite(value) else None
 
 
 def _machine_metadata() -> dict:
@@ -410,9 +421,7 @@ def glue_benchmark(distance: int) -> list[dict]:
                     "stage": stage,
                     "shots_per_sec": _rate(shots, seconds),
                     "seconds": seconds,
-                    "fraction": (
-                        seconds / total if total > 0 else float("nan")
-                    ),
+                    "fraction": seconds / total if total > 0 else None,
                     "shots": shots,
                     "rounds": ROUNDS,
                 }
@@ -596,7 +605,7 @@ def scaling_benchmark(distance: int) -> list[dict]:
                 "reps": DECODE_REPS,
                 "workers": w,
                 "parallel_efficiency": (
-                    rate / (w * base_rate) if base_rate else float("nan")
+                    rate / (w * base_rate) if base_rate else None
                 ),
             }
         )
@@ -670,9 +679,9 @@ def service_benchmark(distance: int) -> tuple[list[dict], bool]:
         "rounds": SERVICE_ROUNDS,
         "workers": SERVICE_WORKERS,
         "max_pending": SERVICE_MAX_PENDING,
-        "p50_ms": stats.p50_ms,
-        "p95_ms": stats.p95_ms,
-        "p99_ms": stats.p99_ms,
+        "p50_ms": _finite(stats.p50_ms),
+        "p95_ms": _finite(stats.p95_ms),
+        "p99_ms": _finite(stats.p99_ms),
     }
     ok = bool(np.isfinite(stats.p99_ms))
     print(
@@ -821,7 +830,9 @@ def main(argv: list[str] | None = None) -> int:
         record["machine"] = machine
     # Write-temp-then-replace: a run interrupted mid-write can never
     # truncate the committed baseline (or a smoke report CI archives).
-    atomic_write_text(out_path, json.dumps(all_records, indent=2) + "\n")
+    atomic_write_text(
+        out_path, json.dumps(all_records, indent=2, allow_nan=False) + "\n"
+    )
     print(f"wrote {out_path} ({len(all_records)} records)")
 
     if args.smoke:

@@ -12,12 +12,15 @@ Untreated defective qubits are passed through to the circuit generator,
 which injects the paper's ≈ 50 % defect noise on them.
 
 Decoder construction is the expensive part of an experiment — DEM
-extraction propagates every elementary mechanism through the circuit
-and the decoding graph precomputes all-pairs path matrices — so
-``(code, basis, rounds, noise, defects)``-keyed decoders are memoised
-in a bounded cache.  Sweeps that revisit the same configuration (the
-Z/X bases of :func:`logical_error_rate`, repeated calls while scanning
-shots or defect samples) pay for DEM + graph construction once.
+extraction walks the compiled program backwards once and the decoding
+graph precomputes all-pairs path matrices — so ``(code, basis, rounds,
+noise, defects)``-keyed decoders are memoised in a bounded cache.
+Sweeps that revisit the same configuration (the Z/X bases of
+:func:`logical_error_rate`, repeated calls while scanning shots or
+defect samples) pay for DEM + graph construction once.  The built and
+compiled circuit is memoised under the same key, one entry deep: the
+chunks of a sweep cell arrive as consecutive same-configuration calls,
+and each pays only for sampling and decoding.
 
 Samples flow packed end to end: the sampler hands
 :class:`~repro.utils.gf2.PackedBits` detector bitplanes straight to
@@ -27,13 +30,14 @@ pipeline in bounded-memory chunks — each chunk sampled from an
 independent child seed — so 10^6-shot sweeps run in a few tens of MB.
 
 When an artifact store is active (:func:`repro.store.get_store` — via
-``set_store``/``using_store`` or the ``REPRO_STORE`` env var) the same
-content keys additionally persist the build products *on disk*:
-compiled circuit programs, extracted DEMs, and the decoding graph's
-all-pairs matrices are loaded from the store when present and written
-back after a build, so fresh processes skip the expensive d ≥ 7 builds
-entirely.  A corrupt entry is quarantined by the store and rebuilt
-here — persistence can slow a run down, never break it.
+``set_store``/``using_store`` or the ``REPRO_STORE`` env var) the
+decoder's build products persist *on disk* under the configuration
+key: extracted DEMs and the decoding graph's all-pairs matrices are
+loaded from the store when present and written back after a build, so
+fresh processes skip the expensive d ≥ 7 builds.  Compiled circuits
+are not stored: digesting one's instruction stream and loading it back
+cost more than building and compiling it again.  A corrupt entry is
+quarantined and rebuilt — persistence can slow a run, never break it.
 """
 
 from __future__ import annotations
@@ -60,11 +64,21 @@ __all__ = [
 #: Bounded decoder memo: content-derived cache key -> MatchingDecoder.
 _DECODER_CACHE: OrderedDict[tuple, MatchingDecoder] = OrderedDict()
 _DECODER_CACHE_SIZE = 32
+#: The last circuit :func:`_compiled_circuit` built, as one ``(config key,
+#: circuit)`` tuple: a reader never pairs a key with another's circuit.
+_LAST_CIRCUIT: tuple[tuple, Circuit] | None = None
 
 
 def clear_decoder_cache() -> None:
-    """Drop all memoised decoders (mainly for tests and benchmarks)."""
+    """Drop the memoised decoders and circuit (for tests and benchmarks)."""
+    global _LAST_CIRCUIT
     _DECODER_CACHE.clear()
+    _LAST_CIRCUIT = None
+
+
+def resolved_rounds(code: SubsystemCode, rounds: int | None) -> int:
+    """``rounds``, or the default of one round per qubit within 3..25."""
+    return max(3, min(code.n, 25)) if rounds is None else rounds
 
 
 def _code_fingerprint(code: SubsystemCode) -> tuple:
@@ -90,38 +104,53 @@ def _code_fingerprint(code: SubsystemCode) -> tuple:
     )
 
 
-def _circuit_fingerprint(circuit: Circuit) -> tuple:
-    """Content fingerprint of a circuit's instruction stream."""
+def _config_key(
+    code: SubsystemCode, basis: str, rounds: int, noise: NoiseModel,
+    defective_data: set | None, defective_ancillas: set | None,
+) -> tuple:
+    """Content key of one experiment configuration."""
     return (
-        "circuit-v1",
-        circuit.num_qubits,
-        tuple(
-            (inst.name, inst.targets, inst.arg)
-            for inst in circuit.instructions
-        ),
+        _code_fingerprint(code), basis, rounds, noise,
+        frozenset(defective_data or ()), frozenset(defective_ancillas or ()),
     )
 
 
 def prime_compiled(circuit: Circuit) -> Circuit:
-    """Warm a circuit's compile cache from the artifact store.
+    """Compile a freshly built ``circuit`` into its compile cache, so
+    sampling and DEM extraction find the program already built."""
+    circuit._compiled = (len(circuit.instructions), compile_circuit(circuit))
+    return circuit
 
-    With no active store (or an in-process compile already cached) this
-    is a no-op.  Otherwise the compiled program is loaded by content
-    fingerprint — or compiled now and persisted — and installed, so
-    sampling and DEM extraction skip :func:`compile_circuit`.
-    """
-    store = get_store()
-    if store is None:
-        return circuit
-    cached = getattr(circuit, "_compiled", None)
-    if cached is not None and cached[0] == len(circuit.instructions):
-        return circuit
-    program = store.get_or_build(
-        "compiled_circuit",
-        _circuit_fingerprint(circuit),
-        lambda: compile_circuit(circuit),
+
+def _build_circuit(
+    code: SubsystemCode, basis: str, rounds: int, noise: NoiseModel,
+    defective_data: set | None, defective_ancillas: set | None,
+) -> Circuit:
+    """Build and compile one configuration's memory circuit."""
+    circuit = memory_circuit(
+        code, basis, rounds, noise,
+        defective_data=defective_data, defective_ancillas=defective_ancillas,
     )
-    circuit._compiled = (len(circuit.instructions), program)
+    return prime_compiled(circuit)
+
+
+def _compiled_circuit(
+    code: SubsystemCode, basis: str, rounds: int, noise: NoiseModel,
+    defective_data: set | None = None, defective_ancillas: set | None = None,
+) -> Circuit:
+    """:func:`_build_circuit`, memoised one entry deep: a run of
+    same-configuration calls (the chunks of a sweep cell) builds once.
+    No caller interleaves configurations, and one entry keeps only one
+    circuit alive (about 6 MB at d = 9 × 9)."""
+    global _LAST_CIRCUIT
+    args = (code, basis, rounds, noise, defective_data, defective_ancillas)
+    key = _config_key(*args)
+    last = _LAST_CIRCUIT
+    if last is not None and last[0] == key:
+        return last[1]
+    last = _LAST_CIRCUIT = None  # free the old circuit before building anew
+    circuit = _build_circuit(*args)
+    _LAST_CIRCUIT = (key, circuit)
     return circuit
 
 
@@ -138,19 +167,14 @@ def _cached_decoder(
     """Decoder for one experiment configuration, memoised.
 
     ``circuit`` may supply an already-built memory circuit matching the
-    defect arguments, saving a rebuild on cache misses.  With an active
-    artifact store, the DEM and (for matrix-backed methods) the
-    all-pairs matrices are additionally persisted across processes,
-    keyed on the same content tuple.
+    defect arguments, saving a rebuild on cache misses; a circuit built
+    here does not replace the memoised one.  With an active artifact
+    store, the DEM and (for matrix-backed methods) the all-pairs
+    matrices are additionally persisted across processes, keyed on the
+    same content tuple.
     """
-    config_key = (
-        _code_fingerprint(code),
-        basis,
-        rounds,
-        noise,
-        frozenset(defective_data or ()),
-        frozenset(defective_ancillas or ()),
-    )
+    args = (code, basis, rounds, noise, defective_data, defective_ancillas)
+    config_key = _config_key(*args)
     key = (*config_key, method)
     decoder = _DECODER_CACHE.get(key)
     if decoder is not None:
@@ -158,17 +182,7 @@ def _cached_decoder(
         return decoder
 
     def build_circuit() -> Circuit:
-        nonlocal circuit
-        if circuit is None:
-            circuit = memory_circuit(
-                code,
-                basis,
-                rounds,
-                noise,
-                defective_data=defective_data,
-                defective_ancillas=defective_ancillas,
-            )
-        return prime_compiled(circuit)
+        return _build_circuit(*args) if circuit is None else circuit
 
     store = get_store()
     if store is None:
@@ -281,17 +295,9 @@ def memory_experiment(
     total decode work matches the one-batch run.  Chunked and unchunked
     runs of the same seed draw different (equally valid) samples.
     """
-    if rounds is None:
-        rounds = max(3, min(code.n, 25))
-    circuit = prime_compiled(
-        memory_circuit(
-            code,
-            basis,
-            rounds,
-            noise,
-            defective_data=defective_data,
-            defective_ancillas=defective_ancillas,
-        )
+    rounds = resolved_rounds(code, rounds)
+    circuit = _compiled_circuit(
+        code, basis, rounds, noise, defective_data, defective_ancillas
     )
     if decoder_aware_of_defects:
         decoder_defects = (defective_data, defective_ancillas)
@@ -303,12 +309,7 @@ def memory_experiment(
         decoder_defects = (None, None)
         decoder_circuit = None  # decoder sees the clean model, not the strike
     decoder = _cached_decoder(
-        code,
-        basis,
-        rounds,
-        noise,
-        *decoder_defects,
-        decoder_method,
+        code, basis, rounds, noise, *decoder_defects, decoder_method,
         circuit=decoder_circuit,
     )
     errors = 0
@@ -376,7 +377,3 @@ def logical_error_rate(
         )
         total += result.per_round
     return total
-
-
-#: Backwards-compatible alias (pre-sweep-runner name).
-_chunk_plan = chunk_plan

@@ -33,9 +33,16 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from repro.eval.montecarlo import (
+    _cached_decoder,
+    _compiled_circuit,
+    chunk_plan,
+    resolved_rounds,
+)
 from repro.layout.generator import LayoutSpec
 from repro.layout.grid import LogicalLayout
 from repro.layout.routing import Router
+from repro.sim import sample_detectors
 
 if TYPE_CHECKING:
     from repro.codes.subsystem import SubsystemCode
@@ -212,23 +219,18 @@ def decoding_throughput(
     Monte-Carlo decoder cache, so the figures reflect steady-state
     throughput, not setup.
     """
-    from repro.eval.montecarlo import _cached_decoder, _chunk_plan
-    from repro.sim import memory_circuit, sample_detectors
-
-    if rounds is None:
-        rounds = max(3, min(code.n, 25))
-    circuit = memory_circuit(code, basis, rounds, noise)
+    rounds = resolved_rounds(code, rounds)
+    circuit = _compiled_circuit(code, basis, rounds, noise)
     decoder = _cached_decoder(
         code, basis, rounds, noise, None, None, decoder_method,
         circuit=circuit,
     )
     if decoder.graph.uses_whole_tables:
         decoder.graph.ensure_route_tables()
-    sample_detectors(circuit, 64, seed=seed)  # warm the compile cache
     errors = 0
     sample_seconds = 0.0
     decode_seconds = 0.0
-    for chunk_seed, chunk in _chunk_plan(shots, chunk_shots, seed):
+    for chunk_seed, chunk in chunk_plan(shots, chunk_shots, seed):
         t0 = time.perf_counter()
         detectors, observables = sample_detectors(
             circuit, chunk, seed=chunk_seed, output="packed"

@@ -6,9 +6,9 @@ Two layers:
   and fsynced append-only logging; every persistent file the runtime
   commits goes through these.
 * :mod:`repro.store.artifacts` — :class:`ArtifactStore`, the
-  content-keyed on-disk cache for build products (compiled circuits,
-  DEMs, all-pairs path matrices) with checksum verification on load
-  and quarantine-and-rebuild on corruption.
+  content-keyed on-disk cache for decoder build products (DEMs,
+  all-pairs path matrices) with checksum verification on load and
+  quarantine-and-rebuild on corruption.
 
 A process-wide default store wires the cache into the evaluation layer
 without threading a handle through every call: :func:`set_store`

@@ -1,11 +1,12 @@
 """Content-keyed on-disk artifact cache with corruption quarantine.
 
-The expensive build products of an experiment configuration — compiled
-circuit programs, detector error models, all-pairs path matrices — are
-pure functions of *content* fingerprints (the same tuples
-``repro.eval.montecarlo`` already keys its in-process decoder memo on).
-:class:`ArtifactStore` persists them across processes so a figure-scale
-sweep pays the d = 9 build once per machine instead of once per run.
+A decoder's build products — its detector error model and all-pairs
+path matrices — are pure functions of the experiment configuration's
+content key (the tuple ``repro.eval.montecarlo`` keys its decoder memo
+on).  :class:`ArtifactStore` persists them across processes, so a
+resumed sweep pays the d = 9 build once per machine, not once per run.
+Compiled circuits are not stored: keyed on their instruction stream,
+they cost more to find and load than to compile again.
 
 Layout under the store root::
 
@@ -149,6 +150,7 @@ class ArtifactStore:
                 "payload_sha256": hashlib.sha256(payload).hexdigest(),
             },
             sort_keys=True,
+            allow_nan=False,
         )
         try:
             atomic_write_bytes(

@@ -40,7 +40,7 @@ JOURNAL_FORMAT = 2
 
 def append_record(path: str | os.PathLike, record: dict) -> dict:
     """Durably append one record; returns it for convenience."""
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if "\n" in line:
         raise ValueError("journal records must serialise to one line")
     durable_append(path, line)

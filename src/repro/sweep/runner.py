@@ -23,13 +23,14 @@ Robustness around each chunk:
   sweep *continues* with the remaining cells — by default the failure
   is raised only after everything else completed (``strict=True``).
 
-Builds are shared two ways: the in-process decoder memo of
-:mod:`repro.eval.montecarlo`, and — when an artifact store is active —
-the on-disk store, so a resumed sweep (a fresh process) skips the
-compile/DEM/matrix builds its predecessor already paid for.  By
-default each sweep keeps a store under ``<sweep_dir>/artifacts``; pass
-``artifact_store=`` a shared :class:`~repro.store.ArtifactStore` (or
-path) to pool builds across sweeps, or ``None`` to disable.
+Builds are shared two ways: the in-process decoder and circuit memos of
+:mod:`repro.eval.montecarlo` (a cell's chunks build its circuit once),
+and — when an artifact store is active — the on-disk store, so a
+resumed sweep (a fresh process) skips the DEM/matrix builds its
+predecessor already paid for.  By default each sweep keeps a store
+under ``<sweep_dir>/artifacts``; pass ``artifact_store=`` a shared
+:class:`~repro.store.ArtifactStore` (or path) to pool builds across
+sweeps, or ``None`` to disable.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import os
 
 import numpy as np
 
-from repro.eval.montecarlo import chunk_plan, memory_experiment
+from repro.eval.montecarlo import chunk_plan, memory_experiment, resolved_rounds
 from repro.sim import NoiseModel
 from repro.store import ArtifactStore, atomic_write_text, key_digest, using_store
 from repro.surface import rotated_surface_code
@@ -172,12 +173,6 @@ def _cell_plan(spec: SweepSpec, index: int) -> list[tuple[int, int]]:
     """``(chunk_seed, shots)`` work units of cell ``index``."""
     cell = spec.cells[index]
     return chunk_plan(cell.shots, spec.chunk_shots, cell_seed(spec, index))
-
-
-def _resolved_rounds(cell: SweepCell, code) -> int:
-    if cell.rounds is not None:
-        return cell.rounds
-    return max(3, min(code.n, 25))
 
 
 # -- retry / timeout ----------------------------------------------------
@@ -315,7 +310,7 @@ def run_sweep(
             if code is None:
                 code = rotated_surface_code(cell.distance).code
                 codes[cell.distance] = code
-            rounds = _resolved_rounds(cell, code)
+            rounds = resolved_rounds(code, cell.rounds)
             noise = NoiseModel.uniform(cell.p)
             plan = _cell_plan(spec, i)
             errors = 0
@@ -468,4 +463,5 @@ def _write_results(
             for r in results
         ],
     }
-    atomic_write_text(results_path, json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    atomic_write_text(results_path, text + "\n")

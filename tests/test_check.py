@@ -47,6 +47,7 @@ class TestRuleCatalogue:
             "REP006",
             "REP007",
             "REP008",
+            "REP009",
         ]
 
     def test_every_rule_has_summary(self):
@@ -67,6 +68,7 @@ class TestSeededFixtures:
         "REP006": ("rep006_fail.py", 3),
         "REP007": ("rep007_fail.py", 2),
         "REP008": ("rep008_fail.py", 6),
+        "REP009": ("rep009_fail.py", 4),
     }
 
     @pytest.mark.parametrize("code", RULE_CODES)

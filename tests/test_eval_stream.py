@@ -9,28 +9,28 @@ from repro.eval import (
     evaluate_program,
     memory_experiment,
 )
-from repro.eval.montecarlo import _chunk_plan
+from repro.eval.montecarlo import chunk_plan
 from repro.sim import NoiseModel
 from repro.surface import rotated_surface_code
 
 
 class TestChunkPlan:
     def test_single_chunk_passes_seed_through(self):
-        assert _chunk_plan(100, None, 5) == [(5, 100)]
-        assert _chunk_plan(100, 200, 5) == [(5, 100)]
-        assert _chunk_plan(100, 0, 5) == [(5, 100)]
+        assert chunk_plan(100, None, 5) == [(5, 100)]
+        assert chunk_plan(100, 200, 5) == [(5, 100)]
+        assert chunk_plan(100, 0, 5) == [(5, 100)]
 
     def test_chunks_cover_all_shots(self):
-        plan = _chunk_plan(100, 30, None)
+        plan = chunk_plan(100, 30, None)
         assert [n for _, n in plan] == [30, 30, 30, 10]
         assert all(seed is None for seed, _ in plan)
 
     def test_seeded_chunks_draw_distinct_streams(self):
-        plan = _chunk_plan(100, 30, 7)
+        plan = chunk_plan(100, 30, 7)
         seeds = [seed for seed, _ in plan]
         assert len(set(seeds)) == len(seeds)
         assert 7 not in seeds
-        assert _chunk_plan(100, 30, 7) == plan  # deterministic
+        assert chunk_plan(100, 30, 7) == plan  # deterministic
 
 
 class TestChunkedMemoryExperiment:

@@ -408,7 +408,7 @@ class TestSpecPlumbing:
         run_sweep(small_spec(), tmp_path / "sweep")
         objects = tmp_path / "sweep" / "artifacts" / "objects"
         kinds = sorted(p.name for p in objects.iterdir())
-        assert kinds == ["compiled_circuit", "dem", "path_matrices"]
+        assert kinds == ["dem", "path_matrices"]
 
     def test_artifact_store_none_disables_cache(self, tmp_path):
         run_sweep(small_spec(), tmp_path / "sweep", artifact_store=None)

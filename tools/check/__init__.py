@@ -19,6 +19,8 @@ and the rule that every durable write goes through ``repro.store``.
 ``REP007``  no axis-0 ``np.unique`` on byte-wide syndrome rows in
             ``src/repro/decode/`` (dedup on packed words)
 ``REP008``  worker-count parameters are spelled ``workers=``
+``REP009``  ``json.dump``/``json.dumps`` under ``src/`` and
+            ``benchmarks/`` pass ``allow_nan=False`` (strict JSON)
 ==========  ==========================================================
 
 Run it over the tree with ``python -m tools.check src/ tests/

@@ -490,6 +490,50 @@ class CanonicalWorkerSpelling(Rule):
                 )
 
 
+class StrictJsonWriters(Rule):
+    """REP009 — every JSON writer rejects NaN and infinities.
+
+    By default ``json.dump``/``json.dumps`` write ``NaN``, ``Infinity``
+    and ``-Infinity``, which are not JSON: strict parsers (``jq``,
+    JavaScript's ``JSON.parse``) reject the whole document.  A stage
+    timed at 0 s once put two ``Infinity`` rates into the committed
+    ``BENCH_decode.json`` this way.  Every call under ``src/`` and
+    ``benchmarks/`` passes ``allow_nan=False``, so a non-finite value
+    fails at the writer, next to its source; an undefined figure is
+    written as ``None`` (JSON ``null``) instead.
+    """
+
+    code = "REP009"
+    summary = "json.dump/json.dumps pass allow_nan=False"
+
+    _WRITERS = frozenset({"json.dump", "json.dumps"})
+
+    def applies(self, relpath: str) -> bool:
+        return relpath.startswith(("src/", "benchmarks/"))
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            origin = ctx.imports.resolve(node.func)
+            if origin not in self._WRITERS:
+                continue
+            strict = any(
+                kw.arg == "allow_nan"
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value is False
+                for kw in node.keywords
+            )
+            if not strict:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{origin} without allow_nan=False writes NaN/Infinity, "
+                    "which are not JSON; pass allow_nan=False and write "
+                    "None (null) for an undefined figure",
+                )
+
+
 ALL_RULES: tuple[Rule, ...] = (
     NoNetworkxInHotPaths(),
     DurableWritesThroughStore(),
@@ -499,4 +543,5 @@ ALL_RULES: tuple[Rule, ...] = (
     DeterministicSeedsAndPools(),
     WordPackedDedup(),
     CanonicalWorkerSpelling(),
+    StrictJsonWriters(),
 )
