@@ -22,7 +22,15 @@ coordinate↔index map.  Measurement indices are absolute (0-based in
 program order), which keeps detector bookkeeping simple.  ``H``, ``CX``
 and the noise channels must name each qubit at most once per
 instruction (their targets act in parallel); ``R``/``RX``/``M``/``MX``
-may repeat one.
+may repeat one.  A noise probability must lie in [0, 1].
+
+:func:`compile_circuit` lowers a circuit to *layers*, as Stim applies
+each instruction to all its targets in one step (Gidney 2021,
+https://arxiv.org/abs/2103.02202): every instruction goes into the
+earliest layer after every earlier instruction that shares a qubit, so
+the instructions of a layer act on disjoint qubits and each qubit keeps
+its order of operations.  Within a layer, all instructions of one kind
+become one :class:`CompiledOp`.
 """
 
 from __future__ import annotations
@@ -42,6 +50,40 @@ _NOISE = {"X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"}
 #: step; a qubit named twice would silently lose an update.
 _DISTINCT_TARGETS = {"H", "CX", *_NOISE}
 
+#: Elementary Pauli mechanisms of each noise channel, in reference
+#: order; a channel of probability ``p`` gives each one
+#: ``p / len(letters)``.  ``CHANNEL_KINDS`` numbers the channels.
+CHANNEL_LETTERS = {
+    "X_ERROR": ("X",),
+    "Z_ERROR": ("Z",),
+    "DEPOLARIZE1": ("X", "Y", "Z"),
+    "DEPOLARIZE2": tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:],
+}
+CHANNEL_KINDS = {kind: i for i, kind in enumerate(CHANNEL_LETTERS)}
+LETTER_COUNT = np.array([len(v) for v in CHANNEL_LETTERS.values()])
+LETTER_START = np.cumsum(LETTER_COUNT) - LETTER_COUNT
+_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+#: Per (channel, letter): which frame bits the letter flips, as
+#: (X on first qubit, Z on first, X on second, Z on second).
+LETTER_ROWS = np.array(
+    [
+        (*_PAULI_BITS[letter[0]], *_PAULI_BITS[letter[1:] or "I"])
+        for letters in CHANNEL_LETTERS.values()
+        for letter in letters
+    ],
+    dtype=bool,
+)
+
+#: Op kinds in the order a layer runs them (any order would do: the
+#: ops of one layer act on disjoint qubits).  ``RX`` compiles to ``R``
+#: (both clear the frame) and every noise channel to ``NOISE``.
+OP_KINDS = ("R", "H", "CX", "M", "MX", "NOISE")
+_R, _H, _CX, _M, _MX, _NOISE_OP = range(len(OP_KINDS))
+_OP_KIND = {
+    "R": _R, "RX": _R, "H": _H, "CX": _CX, "M": _M, "MX": _MX,
+    **dict.fromkeys(_NOISE, _NOISE_OP),
+}
+
 __all__ = ["Circuit", "CompiledCircuit", "CompiledOp", "Instruction", "GateTarget"]
 
 
@@ -56,55 +98,42 @@ class Instruction:
 
 @dataclass(frozen=True)
 class CompiledOp:
-    """One step of a compiled program: an op kind plus gather indices.
+    """Every instruction of one kind in one layer, as one step.
 
-    ``targets`` / ``targets2`` are precomputed ``intp`` index arrays:
-    for ``CX`` they are the (controls, targets) columns, for
-    ``DEPOLARIZE2`` the (first, second) qubits of each pair; other ops
-    use only ``targets``.  ``position`` is the instruction index of the
-    first fused instruction (noise ops are never fused, so a noise op's
-    ``position`` is exactly its instruction index — the key of its
-    pre-drawn noise mask).  ``m_start`` is the absolute record index
-    written by a measurement op.
+    ``targets`` lists the qubits in instruction → target order.  For
+    ``CX`` they are the controls and ``targets2`` the matching targets.
+    ``M``/``MX`` carry ``records``, the record each target writes; a
+    qubit may appear twice there (one ``M`` instruction naming it
+    twice), nowhere else.  A ``NOISE`` op carries ``slots``: the index
+    of each target in the circuit's noise targets, taken in instruction
+    → target order (``DEPOLARIZE2`` pairs as first, second).
     """
 
     kind: str
+    layer: int
     targets: np.ndarray
     targets2: np.ndarray | None = None
-    arg: float = 0.0
-    position: int = 0
-    m_start: int = 0
-    #: Row index into the compiled sparse-noise tables (noise ops only).
-    noise_slot: int = -1
-    #: Scalar qubit indices for single-target specialized kinds
-    #: ("H1"/"R1"/"M1"/"MX1"/"CX1"), letting the engine use basic row
-    #: views instead of fancy-index gather copies.
-    t1: int = -1
-    t2: int = -1
+    records: np.ndarray | None = None
+    slots: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A circuit lowered to numpy-indexable form, built once and cached.
+    """A circuit lowered to layered, numpy-indexable form, built once.
 
-    The instruction list is fused into a compact program:
-
-    * gate/noise ops become :class:`CompiledOp` entries with
-      ready-to-use index arrays (no per-shot Python target parsing);
-      runs of consecutive ``R``/``RX`` (idempotent zeroing), same-kind
-      measurements (contiguous record slices) and disjoint ``H``
-      instructions are merged into single ops;
-    * ``DETECTOR``/``OBSERVABLE`` annotations leave the op stream
-      entirely and become a sparse CSR map from measurement records to
-      detector/observable bits (``*_indices``/``*_offsets``), applied
-      in one pass after propagation.  Annotations with no records
-      reference the all-zero dummy record row ``num_measurements``, so
-      every CSR group is non-empty.
-
-    ``noise_slots``/``noise_probs`` tabulate the per-shot Bernoulli
-    trial count and probability of every noise op (indexed by
-    ``CompiledOp.noise_slot``), so a sampler can draw all Binomial flip
-    counts for a run in one vectorised call.
+    * ``ops`` run layer by layer, one :class:`CompiledOp` per kind
+      present in a layer;
+    * ``DETECTOR``/``OBSERVABLE`` annotations leave the op stream and
+      become a sparse CSR map from measurement records to
+      detector/observable bits (``*_indices``/``*_offsets``), applied in
+      one pass after propagation.  Annotations with no records reference
+      the all-zero dummy record row ``num_measurements``, so every CSR
+      group is non-empty;
+    * the ``noise_*`` arrays describe every noise channel (noise
+      instruction), in instruction order: its ``CHANNEL_KINDS`` index,
+      its Bernoulli trials per shot (targets, or pairs for
+      ``DEPOLARIZE2``), its probability, its first noise slot and its
+      layer.  ``slot_qubits`` is the qubit of every noise slot.
     """
 
     num_qubits: int
@@ -116,44 +145,12 @@ class CompiledCircuit:
     det_offsets: np.ndarray
     obs_indices: np.ndarray
     obs_offsets: np.ndarray
-    noise_slots: np.ndarray
+    noise_kinds: np.ndarray
+    noise_units: np.ndarray
     noise_probs: np.ndarray
-    #: Uniform draws consumed per flip (2 when a Pauli letter is also
-    #: drawn — depolarizing channels — else 1), per noise op.
-    noise_umult: np.ndarray
-
-
-def _fuse(ops: list[CompiledOp]) -> list[CompiledOp]:
-    """Merge adjacent ops where the combined gather is equivalent."""
-    fused: list[CompiledOp] = []
-    for op in ops:
-        prev = fused[-1] if fused else None
-        if prev is not None and prev.kind == op.kind:
-            if op.kind == "R":
-                # Zeroing is idempotent: duplicates between runs are fine.
-                fused[-1] = CompiledOp(
-                    "R",
-                    np.unique(np.concatenate([prev.targets, op.targets])),
-                    position=prev.position,
-                )
-                continue
-            if op.kind in ("M", "MX") and (
-                op.m_start == prev.m_start + len(prev.targets)
-            ):
-                fused[-1] = CompiledOp(
-                    op.kind,
-                    np.concatenate([prev.targets, op.targets]),
-                    position=prev.position,
-                    m_start=prev.m_start,
-                )
-                continue
-            if op.kind == "H":
-                merged = np.concatenate([prev.targets, op.targets])
-                if len(np.unique(merged)) == len(merged):  # disjoint only
-                    fused[-1] = CompiledOp("H", merged, position=prev.position)
-                    continue
-        fused.append(op)
-    return fused
+    noise_starts: np.ndarray
+    noise_layers: np.ndarray
+    slot_qubits: np.ndarray
 
 
 def _csr_wiring(
@@ -172,50 +169,69 @@ def _csr_wiring(
 
 
 def compile_circuit(circuit: "Circuit") -> CompiledCircuit:
-    """Lower ``circuit`` to a :class:`CompiledCircuit` program."""
-    ops: list[CompiledOp] = []
+    """Lower ``circuit`` to a layered :class:`CompiledCircuit` program."""
     detectors: list[tuple[int, ...]] = []
     observables: list[tuple[int, ...]] = []
-    m_idx = 0
-    for pos, inst in enumerate(circuit.instructions):
-        name = inst.name
-        if name == "DETECTOR":
-            detectors.append(inst.targets)
+    last = [-1] * circuit.num_qubits  # layer of each qubit's latest instruction
+    layers: list[int] = []
+    kinds: list[int] = []
+    sizes: list[int] = []
+    flat: list[int] = []
+    channels: list[Instruction] = []
+    for inst in circuit.instructions:
+        kind = _OP_KIND.get(inst.name)
+        if kind is None:
+            (detectors if inst.name == "DETECTOR" else observables).append(inst.targets)
             continue
-        if name == "OBSERVABLE":
-            observables.append(inst.targets)
-            continue
-        t = np.asarray(inst.targets, dtype=np.intp)
-        if name in ("CX", "DEPOLARIZE2"):
-            ops.append(CompiledOp(name, t[0::2], t[1::2], inst.arg, pos))
-        elif name in ("M", "MX"):
-            ops.append(CompiledOp(name, t, position=pos, m_start=m_idx))
-            m_idx += len(t)
-        elif name in ("R", "RX"):
-            # R and RX act identically on the frame (clear both planes).
-            ops.append(CompiledOp("R", t, position=pos))
-        else:  # H and single-qubit noise channels
-            ops.append(CompiledOp(name, t, arg=inst.arg, position=pos))
-    ops = [_specialize(op) for op in _fuse(ops)]
-    noise_slots: list[int] = []
-    noise_probs: list[float] = []
-    noise_umult: list[int] = []
-    for i, op in enumerate(ops):
-        if op.kind in _NOISE:
-            single = len(op.targets) == 1
-            ops[i] = CompiledOp(
-                op.kind,
-                op.targets,
-                op.targets2,
-                op.arg,
-                op.position,
-                noise_slot=len(noise_slots),
-                t1=int(op.targets[0]) if single else -1,
-                t2=int(op.targets2[0]) if single and op.targets2 is not None else -1,
-            )
-            noise_slots.append(len(op.targets))
-            noise_probs.append(op.arg)
-            noise_umult.append(2 if op.kind.startswith("DEPOLARIZE") else 1)
+        t = inst.targets
+        if len(t) == 1:
+            layer = last[t[0]] = last[t[0]] + 1
+        elif len(t) == 2:
+            a, b = t
+            layer = last[a] = last[b] = max(last[a], last[b]) + 1
+        else:
+            layer = max([last[q] for q in t], default=-1) + 1
+            for q in t:
+                last[q] = layer
+        layers.append(layer)
+        kinds.append(kind)
+        sizes.append(len(t))
+        flat.extend(t)
+        if kind == _NOISE_OP:
+            channels.append(inst)
+
+    size = np.asarray(sizes, dtype=np.intp)
+    layer_of, kind_of = np.asarray(layers, dtype=np.intp), np.asarray(kinds, dtype=np.intp)
+    channel = kind_of == _NOISE_OP
+    kind_of = np.repeat(kind_of, size)
+    group = np.repeat(layer_of, size) * len(OP_KINDS) + kind_of
+    qubits = np.asarray(flat, dtype=np.intp)
+    # Records and noise slots number targets in instruction order.
+    records = np.cumsum((kind_of == _M) | (kind_of == _MX)) - 1
+    is_noise = kind_of == _NOISE_OP
+    slots = np.cumsum(is_noise) - 1
+    order = np.argsort(group, kind="stable")
+    group, qubits_by_op = group[order], qubits[order]
+    records, slots = records[order], slots[order]
+    bounds = np.flatnonzero(group[1:] != group[:-1]) + 1
+    starts = [0, *bounds.tolist()]
+    ends = [*bounds.tolist(), len(group)]
+    ops = []
+    for lo, hi, g in zip(starts, ends, group[starts].tolist(), strict=True):
+        layer, kind = divmod(g, len(OP_KINDS))
+        name = OP_KINDS[kind]
+        t = qubits_by_op[lo:hi]
+        if kind == _CX:
+            ops.append(CompiledOp(name, layer, t[0::2], t[1::2]))
+        elif kind in (_M, _MX):
+            ops.append(CompiledOp(name, layer, t, records=records[lo:hi]))
+        elif kind == _NOISE_OP:
+            ops.append(CompiledOp(name, layer, t, slots=slots[lo:hi]))
+        else:
+            ops.append(CompiledOp(name, layer, t))
+
+    noise_kinds = np.array([CHANNEL_KINDS[c.name] for c in channels], dtype=np.intp)
+    noise_size = size[channel]
     det_indices, det_offsets = _csr_wiring(detectors, circuit.num_measurements)
     obs_indices, obs_offsets = _csr_wiring(observables, circuit.num_measurements)
     return CompiledCircuit(
@@ -228,32 +244,18 @@ def compile_circuit(circuit: "Circuit") -> CompiledCircuit:
         det_offsets=det_offsets,
         obs_indices=obs_indices,
         obs_offsets=obs_offsets,
-        noise_slots=np.asarray(noise_slots, dtype=np.intp),
-        noise_probs=np.asarray(noise_probs, dtype=np.float64),
-        noise_umult=np.asarray(noise_umult, dtype=np.intp),
+        noise_kinds=noise_kinds,
+        noise_units=noise_size // np.where(noise_kinds == CHANNEL_KINDS["DEPOLARIZE2"], 2, 1),
+        noise_probs=np.array([c.arg for c in channels], dtype=np.float64),
+        noise_starts=np.cumsum(noise_size) - noise_size,
+        noise_layers=layer_of[channel],
+        slot_qubits=qubits[is_noise],
     )
 
 
-def _specialize(op: CompiledOp) -> CompiledOp:
-    """Single-target gate/measure ops get scalar-indexed fast kinds."""
-    if op.kind in ("H", "R", "M", "MX") and len(op.targets) == 1:
-        return CompiledOp(
-            op.kind + "1",
-            op.targets,
-            position=op.position,
-            m_start=op.m_start,
-            t1=int(op.targets[0]),
-        )
-    if op.kind == "CX" and len(op.targets) == 1:
-        return CompiledOp(
-            "CX1",
-            op.targets,
-            op.targets2,
-            position=op.position,
-            t1=int(op.targets[0]),
-            t2=int(op.targets2[0]),
-        )
-    return op
+def _check_probability(name: str, p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise ValueError(f"{name} probability must lie in [0, 1], got {p!r}")
 
 
 @dataclass
@@ -274,6 +276,8 @@ class Circuit:
                 raise ValueError(f"{name} needs an even number of targets")
         elif name not in _GATES_1Q and name not in _ANNOTATIONS:
             raise ValueError(f"unknown instruction {name!r}")
+        if name in _NOISE:
+            _check_probability(name, arg)
         if name in _DISTINCT_TARGETS and len(set(targets)) < len(targets):
             repeated = next(q for q in targets if targets.count(q) > 1)
             raise ValueError(
@@ -295,6 +299,31 @@ class Circuit:
         if name == "OBSERVABLE":
             self.num_observables += 1
         self.instructions.append(Instruction(name, targets, arg))
+
+    def replay(self, start: int, times: int) -> None:
+        """Append ``times`` copies of the instructions from ``start`` on.
+
+        Each copy's ``DETECTOR``/``OBSERVABLE`` records shift by the
+        records one copy writes, so a block whose annotations compare
+        its records with the previous block's (a memory round) goes on
+        comparing consecutive copies.  The result equals appending the
+        copies one instruction at a time.
+        """
+        block = self.instructions[start:]
+        shift = sum(len(i.targets) for i in block if i.name in ("M", "MX"))
+        annotations = [(j, i) for j, i in enumerate(block) if i.name in _ANNOTATIONS]
+        for copy in range(1, times + 1):
+            body = list(block)
+            for j, inst in annotations:
+                body[j] = Instruction(
+                    inst.name, tuple(t + copy * shift for t in inst.targets), inst.arg
+                )
+            self.instructions.extend(body)
+        self.num_measurements += times * shift
+        self.num_detectors += times * sum(i.name == "DETECTOR" for _, i in annotations)
+        self.num_observables += times * sum(
+            i.name == "OBSERVABLE" for _, i in annotations
+        )
 
     # Convenience wrappers keep the syndrome generator readable.
     def h(self, *qubits: int) -> None:
@@ -320,21 +349,24 @@ class Circuit:
         self.append("MX", qubits)
         return list(range(start, start + len(qubits)))
 
+    def _channel(self, name: str, p: float, qubits: tuple[int, ...]) -> None:
+        """Append a noise channel; ``p == 0`` or no qubits appends nothing."""
+        if p == 0 or not qubits:
+            _check_probability(name, p)
+        else:
+            self.append(name, qubits, p)
+
     def x_error(self, p: float, *qubits: int) -> None:
-        if p > 0 and qubits:
-            self.append("X_ERROR", qubits, p)
+        self._channel("X_ERROR", p, qubits)
 
     def z_error(self, p: float, *qubits: int) -> None:
-        if p > 0 and qubits:
-            self.append("Z_ERROR", qubits, p)
+        self._channel("Z_ERROR", p, qubits)
 
     def depolarize1(self, p: float, *qubits: int) -> None:
-        if p > 0 and qubits:
-            self.append("DEPOLARIZE1", qubits, p)
+        self._channel("DEPOLARIZE1", p, qubits)
 
     def depolarize2(self, p: float, *qubits: int) -> None:
-        if p > 0 and qubits:
-            self.append("DEPOLARIZE2", qubits, p)
+        self._channel("DEPOLARIZE2", p, qubits)
 
     def detector(self, records: Iterable[int]) -> int:
         """Define a detector over absolute measurement indices."""
@@ -350,8 +382,9 @@ class Circuit:
     def compiled(self) -> CompiledCircuit:
         """The compiled program for this circuit, built once and cached.
 
-        The cache is invalidated by length: :meth:`append` is the only
-        mutator, so a changed instruction count means a changed program.
+        The cache is invalidated by length: :meth:`append` and
+        :meth:`replay` are the only mutators, so a changed instruction
+        count means a changed program.
         """
         cached = getattr(self, "_compiled", None)
         if cached is not None and cached[0] == len(self.instructions):

@@ -4,28 +4,29 @@ Frame propagation is linear over GF(2), so the effect of any Pauli
 fault is fixed by two *sensitivity rows* per qubit and time: bit ``k``
 of ``sx[q]`` (``sz[q]``) is set when an ``X`` (``Z``) on ``q`` at that
 point flips detector/observable ``k``.  :func:`build_dem` computes them
-for every noise position in one reverse walk over the compiled program
-(:meth:`repro.sim.circuit.Circuit.compiled`), the backward formulation
-of Stim's error analyser (Gidney 2021, https://arxiv.org/abs/2103.02202).
-Rows are packed ``uint64`` words, ``ceil(detectors / 64)`` words of
-detector bits followed by ``ceil(observables / 64)`` of observable
-bits.  After the last op every row is zero; each op applies the
-transpose of its forward frame rule:
+for every noise position in one reverse walk over the layered program
+(:meth:`repro.sim.circuit.Circuit.compiled`), one step per layer op,
+the backward formulation of Stim's error analyser (Gidney 2021,
+https://arxiv.org/abs/2103.02202).  Rows are packed ``uint64`` words,
+``ceil(detectors / 64)`` words of detector bits followed by
+``ceil(observables / 64)`` of observable bits.  After the last op every
+row is zero; each op applies the transpose of its forward frame rule:
 
 * ``M`` on ``q`` writing record ``m``: ``sx[q] ^= R[m]`` (``MX``:
   ``sz[q] ^= R[m]``), where ``R[m]`` is the row of detectors and
-  observables that read record ``m``.  Consecutive measurements fuse
-  into one op that may name a qubit twice, so this update accumulates
-  repeated targets;
+  observables that read record ``m``.  An ``M`` op carries each
+  target's record; one instruction may name a qubit twice, so this
+  update accumulates repeated targets;
 * ``R``/``RX``: zero both rows; ``H``: swap them;
 * ``CX`` (control ``c``, target ``t``): ``sx[c] ^= sx[t]``,
   ``sz[t] ^= sz[c]``;
-* a noise op with ``p > 0`` snapshots the rows of its qubits and leaves
-  them unchanged.
+* a noise op copies the rows of its qubits into their snapshot slots,
+  in instruction → target order, and leaves them unchanged.
 
-The gate rules update all of an instruction's targets in one
-fancy-indexed assignment, which is why ``Circuit.append`` rejects an
-``H``, ``CX`` or noise instruction that names a qubit twice.
+The gate rules update all of an op's targets in one fancy-indexed
+assignment.  That is exact because the instructions of one layer act on
+disjoint qubits and ``Circuit.append`` rejects an ``H``, ``CX`` or noise
+instruction that names a qubit twice.
 
 Each elementary mechanism — ``X_ERROR``/``Z_ERROR`` letter at ``p``,
 ``DEPOLARIZE1`` ``X``/``Y``/``Z`` at ``p/3``, ``DEPOLARIZE2``'s 15
@@ -46,36 +47,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.circuit import Circuit, CompiledCircuit, CompiledOp
+from repro.sim.circuit import (
+    CHANNEL_KINDS,
+    LETTER_COUNT,
+    LETTER_ROWS,
+    LETTER_START,
+    Circuit,
+    CompiledCircuit,
+)
 from repro.utils.gf2 import gf2_unpack
 
 __all__ = ["ErrorMechanism", "DetectorErrorModel", "build_dem"]
 
 #: Bit index → uint64 single-bit mask.
 _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-#: Elementary Pauli mechanisms of each channel, in reference order; a
-#: channel of probability ``p`` gives each one ``p / len(letters)``.
-_CHANNEL_LETTERS = {
-    "X_ERROR": ("X",),
-    "Z_ERROR": ("Z",),
-    "DEPOLARIZE1": ("X", "Y", "Z"),
-    "DEPOLARIZE2": tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:],
-}
-_KIND_INDEX = {kind: i for i, kind in enumerate(_CHANNEL_LETTERS)}
-_LETTER_COUNT = np.array([len(v) for v in _CHANNEL_LETTERS.values()])
-_LETTER_START = np.cumsum(_LETTER_COUNT) - _LETTER_COUNT
-_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-#: Per (channel, letter): which snapshot rows the mechanism XORs, as
-#: (X on first qubit, Z on first, X on second, Z on second).
-_LETTER_ROWS = np.array(
-    [
-        (*_PAULI_BITS[letter[0]], *_PAULI_BITS[letter[1:] or "I"])
-        for letters in _CHANNEL_LETTERS.values()
-        for letter in letters
-    ],
-    dtype=bool,
-)
 
 
 @dataclass(frozen=True)
@@ -126,84 +111,54 @@ def _record_rows(program: CompiledCircuit, det_words: int, width: int) -> np.nda
     return rows
 
 
-def _snapshots(
-    program: CompiledCircuit, records: np.ndarray, noise: list[CompiledOp]
-) -> np.ndarray:
+def _snapshots(program: CompiledCircuit, records: np.ndarray) -> np.ndarray:
     """Walk the program backwards; returns ``(slots, 2, width)`` snapshots.
 
-    Row ``[s, 0]``/``[s, 1]`` is the X/Z sensitivity of snapshot slot
-    ``s``.  The ``noise`` ops (``p > 0``) own consecutive slots in
-    program order, one per target (``DEPOLARIZE2``: first and second
-    qubit of each pair, interleaved).
+    Row ``[s, 0]``/``[s, 1]`` is the X/Z sensitivity of noise slot ``s``
+    (:attr:`CompiledOp.slots <repro.sim.circuit.CompiledOp.slots>`):
+    one per target of every noise channel, in instruction → target
+    order (``DEPOLARIZE2``: first and second qubit of each pair).
     """
-    slots = sum(len(op.targets) * (1 if op.targets2 is None else 2) for op in noise)
     sens = np.zeros((program.num_qubits, 2, records.shape[1]), dtype=np.uint64)
-    snap = np.empty((slots, 2, records.shape[1]), dtype=np.uint64)
-    xor = np.bitwise_xor
-    cursor = slots
+    snap = np.empty((len(program.slot_qubits), 2, records.shape[1]), dtype=np.uint64)
     for op in reversed(program.ops):
-        kind = op.kind
-        if op.noise_slot >= 0:
-            if op.arg <= 0:
-                continue
-            pairs = op.targets2 is not None
-            cursor -= len(op.targets) * (2 if pairs else 1)
-            if op.t1 >= 0:
-                snap[cursor] = sens[op.t1]
-                if pairs:
-                    snap[cursor + 1] = sens[op.t2]
-            elif pairs:
-                snap[cursor : cursor + 2 * len(op.targets) : 2] = sens[op.targets]
-                snap[cursor + 1 : cursor + 2 * len(op.targets) : 2] = sens[op.targets2]
-            else:
-                snap[cursor : cursor + len(op.targets)] = sens[op.targets]
-        elif kind == "CX1":
-            xor(sens[op.t1, 0], sens[op.t2, 0], out=sens[op.t1, 0])
-            xor(sens[op.t2, 1], sens[op.t1, 1], out=sens[op.t2, 1])
-        elif kind == "M1":
-            xor(sens[op.t1, 0], records[op.m_start], out=sens[op.t1, 0])
-        elif kind == "MX1":
-            xor(sens[op.t1, 1], records[op.m_start], out=sens[op.t1, 1])
-        elif kind == "R1":
-            sens[op.t1] = 0
-        elif kind == "H1":
-            sens[op.t1] = sens[op.t1, ::-1].copy()
+        kind, t = op.kind, op.targets
+        if kind == "NOISE":
+            snap[op.slots] = sens[t]
         elif kind == "CX":
-            sens[op.targets, 0] ^= sens[op.targets2, 0]
-            sens[op.targets2, 1] ^= sens[op.targets, 1]
+            sens[t, 0] ^= sens[op.targets2, 0]
+            sens[op.targets2, 1] ^= sens[t, 1]
         elif kind in ("M", "MX"):
-            m = slice(op.m_start, op.m_start + len(op.targets))
-            xor.at(sens, (op.targets, int(kind == "MX")), records[m])
+            np.bitwise_xor.at(sens, (t, int(kind == "MX")), records[op.records])
         elif kind == "R":
-            sens[op.targets] = 0
+            sens[t] = 0
         elif kind == "H":
-            sens[op.targets] = sens[op.targets][:, ::-1]
+            sens[t] = sens[t][:, ::-1]
         else:  # pragma: no cover - compile_circuit emits no other kinds
             raise ValueError(f"unknown compiled op {kind!r}")
     return snap
 
 
 def _mechanisms(
-    noise: list[CompiledOp], snap: np.ndarray
+    kinds: np.ndarray, units: np.ndarray, probs: np.ndarray, snap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(signature rows, probabilities) of every elementary mechanism."""
-    kind = np.array([_KIND_INDEX[op.kind] for op in noise], dtype=np.intp)
-    n = np.array([len(op.targets) for op in noise], dtype=np.intp)
-    unit_kind = np.repeat(kind, n)  # one unit per target / pair
-    count = _LETTER_COUNT[unit_kind]
-    unit_p = np.repeat(np.array([op.arg for op in noise]), n) / count
-    span = np.where(unit_kind == _KIND_INDEX["DEPOLARIZE2"], 2, 1)
+    """(signature rows, probabilities) of every elementary mechanism of
+    the channels ``kinds``/``units``/``probs``, whose slots ``snap`` holds."""
+    unit_kind = np.repeat(kinds, units)  # one unit per target / pair
+    count = LETTER_COUNT[unit_kind]
+    unit_p = np.repeat(probs, units) / count
+    span = np.where(unit_kind == CHANNEL_KINDS["DEPOLARIZE2"], 2, 1)
     slot = np.cumsum(span) - span  # first snapshot slot of each unit
     unit = np.repeat(np.arange(len(unit_kind)), count)
-    # Row of _LETTER_ROWS per mechanism: its channel's first letter plus
+    # Row of LETTER_ROWS per mechanism: its channel's first letter plus
     # the mechanism's rank within its unit.
     letter = np.arange(len(unit)) + np.repeat(
-        _LETTER_START[unit_kind] - (np.cumsum(count) - count), count
+        LETTER_START[unit_kind] - (np.cumsum(count) - count), count
     )
     flat = snap.reshape(-1, snap.shape[2])  # X of slot s at 2s, Z at 2s + 1
     base = 2 * slot[unit]
     sig = np.zeros((len(unit), flat.shape[1]), dtype=np.uint64)
-    for col, uses in enumerate(_LETTER_ROWS[letter].T):
+    for col, uses in enumerate(LETTER_ROWS[letter].T):
         rows = np.nonzero(uses)[0]
         sig[rows] ^= flat[base[rows] + col]
     return sig, unit_p[unit]
@@ -220,14 +175,21 @@ def build_dem(circuit: Circuit, *, merge: bool = True) -> DetectorErrorModel:
     num_det, num_obs = circuit.num_detectors, circuit.num_observables
     empty = DetectorErrorModel([], num_det, num_obs)
     program = circuit.compiled()
-    noise = [op for op in program.ops if op.noise_slot >= 0 and op.arg > 0]
+    active = program.noise_probs > 0
     det_words = (num_det + 63) // 64
     width = det_words + (num_obs + 63) // 64
-    if not noise or not width:
+    if not active.any() or not width:
         return empty
 
-    snap = _snapshots(program, _record_rows(program, det_words, width), noise)
-    sig, probs = _mechanisms(noise, snap)
+    snap = _snapshots(program, _record_rows(program, det_words, width))
+    if not active.all():  # p = 0 channels have slots but no mechanisms
+        snap = snap[np.repeat(active, np.diff(program.noise_starts, append=len(snap)))]
+    sig, probs = _mechanisms(
+        program.noise_kinds[active],
+        program.noise_units[active],
+        program.noise_probs[active],
+        snap,
+    )
 
     keep = sig.any(axis=1)
     sig, probs = sig[keep], probs[keep]

@@ -10,7 +10,7 @@ varies the two-qubit (correlated) error rate independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["NoiseModel"]
 
@@ -39,6 +39,12 @@ class NoiseModel:
     p_data_round: float = 1e-3
     p_defect: float = 0.5
     defect_meas_flip: float = 0.5
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            p = getattr(self, f.name)
+            if not 0.0 <= p <= 1.0:  # also rejects NaN
+                raise ValueError(f"NoiseModel.{f.name} must lie in [0, 1], got {p!r}")
 
     @classmethod
     def uniform(cls, p: float) -> "NoiseModel":

@@ -17,6 +17,12 @@ Surf-Deformer instructions:
 Untreated defective qubits (the "no treatment" baseline of fig. 11a)
 receive extra per-round depolarizing noise at the defect rate, and
 defective ancillas produce near-random outcomes.
+
+Every round after the second repeats the second one: the generator
+builds rounds 0 and 1 through ``Circuit.append`` and then appends the
+rest with :meth:`~repro.sim.circuit.Circuit.replay`, which shifts each
+copy's detector records by the records one round writes.  The
+instruction list is the one a round-by-round build gives.
 """
 
 from __future__ import annotations
@@ -79,7 +85,10 @@ def memory_circuit(
     last_round_records: dict[str, int] = {}
     generators = [g for g in code.stabilizers.values() if g.basis == basis]
 
-    for rnd in range(rounds):
+    # Rounds 0 and 1 are built instruction by instruction; every later
+    # round repeats round 1 with its records shifted (Circuit.replay).
+    for rnd in range(min(rounds, 2)):
+        round_start, round_records = len(circuit), circuit.num_measurements
         circuit.depolarize1(noise.p_data_round, *data_ids)
         bad_data = [index[q] for q in defective_data if q in index]
         if bad_data:
@@ -108,6 +117,10 @@ def memory_circuit(
                 prev = [last_round_records[n] for n in gen.measured_via]
                 circuit.detector(recs + prev)
         last_round_records = this_round_records
+    if rounds > 2:
+        shift = (rounds - 2) * (circuit.num_measurements - round_records)
+        circuit.replay(round_start, rounds - 2)
+        last_round_records = {n: r + shift for n, r in last_round_records.items()}
 
     # --- final data measurement -----------------------------------------
     if basis == "Z":

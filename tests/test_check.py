@@ -48,6 +48,7 @@ class TestRuleCatalogue:
             "REP007",
             "REP008",
             "REP009",
+            "REP010",
         ]
 
     def test_every_rule_has_summary(self):
@@ -69,6 +70,7 @@ class TestSeededFixtures:
         "REP007": ("rep007_fail.py", 2),
         "REP008": ("rep008_fail.py", 6),
         "REP009": ("rep009_fail.py", 4),
+        "REP010": ("rep010_fail.py", 12),
     }
 
     @pytest.mark.parametrize("code", RULE_CODES)

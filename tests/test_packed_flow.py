@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from decode_oracles import SerialMatrixDecoder
 from repro.decode import MatchingDecoder
 from repro.sim import (
-    FrameSampler,
     NoiseModel,
     build_dem,
     memory_circuit,
@@ -22,6 +21,7 @@ from repro.sim import (
 )
 from repro.surface import rotated_surface_code
 from repro.utils.gf2 import PackedBits, gf2_pack_rows
+from sim_oracle import OracleSampler, PackedEngine
 
 _PATCH = rotated_surface_code(3)
 _CIRCUIT = memory_circuit(_PATCH.code, "Z", 3, NoiseModel.uniform(4e-3))
@@ -56,13 +56,14 @@ def test_packed_and_unpacked_sampling_decode_identically(seed, shots):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), shots=st.integers(1, 100))
 def test_unpacked_engine_sample_packed_round_trips(seed, shots):
-    """The reference (uint8) engine exposes the same packed interface."""
-    packed_engine = FrameSampler(_CIRCUIT, seed=seed, packed=False)
-    reference = FrameSampler(_CIRCUIT, seed=seed, packed=False)
-    det_p, obs_p = packed_engine.sample_packed(shots)
-    det_u, obs_u = reference.sample(shots)
-    assert (det_p.unpack().T == det_u).all()
-    assert (obs_p.unpack().T == obs_u).all()
+    """The reference (uint8) engine's rows, packed, are the packed
+    engine's bitplanes under one shared noise mask."""
+    oracle = OracleSampler(_CIRCUIT, seed=seed)
+    masks = oracle.draw_masks(shots)
+    det_u, obs_u = oracle.sample_masked(masks, shots, packed=False)
+    det_p, obs_p = PackedEngine(oracle.program, shots).run(masks=masks)
+    assert (PackedBits(det_p, shots).unpack().T == det_u).all()
+    assert (PackedBits(obs_p, shots).unpack().T == obs_u).all()
 
 
 def test_packed_bits_transpose_blocks():

@@ -41,6 +41,59 @@ class TestCircuit:
         c.x_error(0.0, 0)
         assert len(c) == 0
 
+    def test_replay_equals_appending_each_copy(self):
+        """Each copy's detector and observable records move by the
+        records one copy writes."""
+        replayed = Circuit()
+        replayed.reset(0, 1)
+        first = replayed.measure(0, 1)
+        start = len(replayed)
+        replayed.cx(0, 1)
+        recs = replayed.measure(0, 1)
+        replayed.detector([recs[0], first[0]])
+        replayed.observable([recs[1]])
+        replayed.replay(start, 2)
+
+        built = Circuit()
+        built.reset(0, 1)
+        prev = built.measure(0, 1)
+        for _ in range(3):
+            built.cx(0, 1)
+            recs = built.measure(0, 1)
+            built.detector([recs[0], prev[0]])
+            built.observable([recs[1]])
+            prev = recs
+        assert replayed == built
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_out_of_range_probability_rejected(self, p):
+        c = Circuit()
+        with pytest.raises(ValueError, match="X_ERROR probability"):
+            c.x_error(p, 0)
+        with pytest.raises(ValueError, match="X_ERROR probability"):
+            c.x_error(p)  # no qubits: still checked
+        with pytest.raises(ValueError, match="DEPOLARIZE2 probability"):
+            c.append("DEPOLARIZE2", (0, 1), p)
+        assert len(c) == 0
+
+    def test_probability_bounds_accepted(self):
+        c = Circuit()
+        c.x_error(1.0, 0)
+        c.append("Z_ERROR", (0,), 0.0)
+        assert [i.arg for i in c.instructions] == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: NoiseModel.uniform(-0.2), "p1"),
+            (lambda: NoiseModel(p_defect=float("nan")), "p_defect"),
+            (lambda: NoiseModel().with_correlated(1.5), "p2"),
+        ],
+    )
+    def test_noise_model_rejects_out_of_range(self, make, field):
+        with pytest.raises(ValueError, match=f"NoiseModel.{field} "):
+            make()
+
     @pytest.mark.parametrize(
         "name, targets, repeated",
         [

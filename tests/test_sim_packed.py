@@ -1,11 +1,13 @@
-"""Packed-engine equivalence tests: compiled circuits, bitplane frames,
+"""Packed-engine equivalence tests: layered programs, bitplane frames,
 backward-pass DEMs, and the eval-layer decoder cache.
 
 The fast paths must be *exactly* interchangeable with their references:
 DEMs identical mechanism-for-mechanism to the per-mechanism oracle in
 ``tests/dem_oracle.py`` (on hand-built, random and deformed-code
-circuits), bit-identical samples under a shared pre-drawn noise mask,
-and correct round-trips for ragged shot counts (shots % 64 != 0).
+circuits), layered samples bit-identical to the per-instruction engine
+of ``tests/sim_oracle.py`` at equal seeds, that engine's packed and
+unpacked forms bit-identical under a shared pre-drawn noise mask, and
+correct round-trips for ragged shot counts (shots % 64 != 0).
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.sim import (
 )
 from repro.surface import rotated_surface_code
 from repro.utils.gf2 import PackedBits
+from sim_oracle import OracleSampler
 
 
 def toy_circuit(p=3e-3):
@@ -80,8 +83,8 @@ _CHANNELS = ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
 
 @st.composite
 def random_circuits(draw):
-    """Every instruction kind in runs of 1–3 (so the compiler fuses
-    M/MX/R/H runs), single- and multi-target forms, measure/reset
+    """Every instruction kind in runs of 1–3 (so one layer op merges
+    several instructions), single- and multi-target forms, measure/reset
     targets that repeat, p = 0 channels, empty detectors, repeated
     records and 0–2 observables.  Every qubit is read out at the end,
     so most faults reach a record."""
@@ -169,18 +172,26 @@ class TestDEMAgreement:
         assert build_dem(c).mechanisms == []
 
     def test_qubit_measured_twice_in_a_row(self):
-        """A fused M op naming one qubit twice feeds both records."""
+        """A qubit measured again takes the next layer; an ``M`` op that
+        names a qubit twice (one instruction) feeds both records."""
         c = Circuit()
         c.reset(0, 1)
         c.x_error(0.1, 0)
         c.depolarize1(0.01, 1)
         recs = c.measure(0, 1)
         recs += c.measure(0)
+        recs += c.measure(1, 1)
         c.detector([recs[0]])
         c.detector([recs[2]])
         c.detector([recs[1], recs[0]])
-        fused = [op for op in c.compiled().ops if op.kind == "M"]
-        assert [op.targets.tolist() for op in fused] == [[0, 1, 0]]
+        c.detector([recs[3], recs[1]])
+        c.detector([recs[3], recs[4]])
+        meas = [
+            (op.layer, op.targets.tolist(), op.records.tolist())
+            for op in c.compiled().ops
+            if op.kind == "M"
+        ]
+        assert meas == [(2, [0, 1], [0, 1]), (3, [0, 1, 1], [2, 3, 4])]
         dem = build_dem(c)
         assert dem.mechanisms[0].detectors == (0, 1, 2)
         assert_same_dem(c)
@@ -207,31 +218,29 @@ class TestDEMAgreement:
 
 
 class TestSamplerAgreement:
-    """Packed and unpacked engines agree exactly under a shared mask."""
+    """The per-instruction oracle's packed and unpacked engines agree
+    exactly under a shared mask."""
 
-    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 128, 1000])
-    def test_toy_circuit_shared_mask(self, shots):
-        c = toy_circuit(p=0.05)
-        packed = FrameSampler(c, seed=5)
-        unpacked = FrameSampler(c, packed=False)
-        masks = packed.draw_masks(shots)
-        det_p, obs_p = packed.sample_masked(masks, shots)
-        det_u, obs_u = unpacked.sample_masked(masks, shots)
+    @staticmethod
+    def assert_engines_agree(c, shots, seed):
+        oracle = OracleSampler(c, seed=seed)
+        masks = oracle.draw_masks(shots)
+        det_p, obs_p = oracle.sample_masked(masks, shots)
+        det_u, obs_u = oracle.sample_masked(masks, shots, packed=False)
         assert det_p.shape == det_u.shape == (shots, c.num_detectors)
         assert obs_p.shape == obs_u.shape == (shots, c.num_observables)
         assert (det_p == det_u).all()
         assert (obs_p == obs_u).all()
 
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 128, 1000])
+    def test_toy_circuit_shared_mask(self, shots):
+        self.assert_engines_agree(toy_circuit(p=0.05), shots, seed=5)
+
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_memory_circuit_shared_mask(self, basis):
         patch = rotated_surface_code(3)
         c = memory_circuit(patch.code, basis, 3, NoiseModel.uniform(3e-3))
-        packed = FrameSampler(c, seed=7)
-        masks = packed.draw_masks(130)
-        det_p, obs_p = packed.sample_masked(masks, 130)
-        det_u, obs_u = FrameSampler(c, packed=False).sample_masked(masks, 130)
-        assert (det_p == det_u).all()
-        assert (obs_p == obs_u).all()
+        self.assert_engines_agree(c, 130, seed=7)
 
     def test_deformed_defective_shared_mask(self):
         """Defect noise (p≈0.5) exercises the dense packed-noise path."""
@@ -247,12 +256,7 @@ class TestSamplerAgreement:
             defective_data={(3, 3)},
             defective_ancillas={ancilla},
         )
-        packed = FrameSampler(c, seed=11)
-        masks = packed.draw_masks(90)
-        det_p, obs_p = packed.sample_masked(masks, 90)
-        det_u, obs_u = FrameSampler(c, packed=False).sample_masked(masks, 90)
-        assert (det_p == det_u).all()
-        assert (obs_p == obs_u).all()
+        self.assert_engines_agree(c, 90, seed=11)
 
     def test_deterministic_circuit_packed(self):
         """p=1.0 channels (dense path) propagate exactly."""
@@ -289,11 +293,57 @@ class TestSamplerAgreement:
         assert abs(det.mean() - 0.01) < 5 * se
 
     def test_unpacked_reference_still_default_free(self):
-        """packed=False selects the (shots, qubits) reference loop."""
+        """The unpacked (shots, qubits) reference loop draws its own noise."""
         c = toy_circuit()
-        det, obs = FrameSampler(c, seed=1, packed=False).sample(10)
+        det, obs = OracleSampler(c, seed=1).sample_unpacked(10)
         assert det.shape == (10, c.num_detectors)
         assert obs.shape == (10, c.num_observables)
+
+
+class TestLayeredSampler:
+    """The layered sampler draws the per-instruction engine's bits."""
+
+    @staticmethod
+    def assert_same_samples(c, shots, seed):
+        layered = FrameSampler(c, seed=seed)
+        oracle = OracleSampler(c, seed=seed)
+        for _ in range(2):  # the second draw continues the same stream
+            det, obs = layered.sample_packed(shots)
+            want_det, want_obs = oracle.sample_packed(shots)
+            np.testing.assert_array_equal(det.words, want_det)
+            np.testing.assert_array_equal(obs.words, want_obs)
+
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 1000])
+    @given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_circuits(self, shots, circuit, seed):
+        self.assert_same_samples(circuit, shots, seed)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_memory_circuit_with_collisions(self, basis):
+        """p = 0.02 over 1,000 shots: channels of more and fewer than 25
+        flips, and positions that collide and are redrawn."""
+        c = memory_circuit(
+            rotated_surface_code(3).code, basis, 4, NoiseModel.uniform(0.02)
+        )
+        self.assert_same_samples(c, 1000, seed=3)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_small_resolution_blocks(self, monkeypatch, block):
+        """Blocks far smaller than a run's flips: channels resolve over
+        many blocks, some ahead of the layer that applies them, with
+        dense channels (p ≥ 0.05) in between."""
+        monkeypatch.setattr("repro.sim.frame._FLIP_BLOCK", block)
+        noise = NoiseModel(p1=0.1, p2=0.02, p_meas=0.0, p_reset=1e-3, p_data_round=0.5)
+        c = memory_circuit(rotated_surface_code(3).code, "X", 3, noise)
+        self.assert_same_samples(c, 700, seed=4)
+
+    def test_zero_shots(self):
+        c = toy_circuit(p=0.1)
+        det, obs = FrameSampler(c, seed=2).sample(0)
+        assert det.shape == (0, c.num_detectors)
+        assert obs.shape == (0, c.num_observables)
+        self.assert_same_samples(c, 0, seed=2)
 
 
 class TestSampleOutputContract:
@@ -330,17 +380,19 @@ class TestCompiledCircuit:
         assert len(second.ops) == len(first.ops) + 1
 
     def test_fusion_preserves_measurement_wiring(self):
-        """Fused consecutive measurements keep contiguous record slices."""
+        """Measurements merged into one layer op keep their records."""
         c = Circuit()
         c.reset(0, 1, 2)
-        c.measure(0)
-        c.measure(1)
         c.measure(2)
-        program = c.compiled()
-        meas = [op for op in program.ops if op.kind in ("M", "M1")]
-        assert len(meas) == 1
-        assert meas[0].m_start == 0
-        assert meas[0].targets.tolist() == [0, 1, 2]
+        c.measure(0)
+        c.h(1)
+        c.measure(1)
+        meas = [
+            (op.layer, op.targets.tolist(), op.records.tolist())
+            for op in c.compiled().ops
+            if op.kind == "M"
+        ]
+        assert meas == [(1, [2, 0], [0, 1]), (2, [1], [2])]
 
 
 class TestDecoderCacheKeying:

@@ -21,6 +21,8 @@ and the rule that every durable write goes through ``repro.store``.
 ``REP008``  worker-count parameters are spelled ``workers=``
 ``REP009``  ``json.dump``/``json.dumps`` under ``src/`` and
             ``benchmarks/`` pass ``allow_nan=False`` (strict JSON)
+``REP010``  nothing under ``src/`` outside ``sim/circuit.py``
+            mutates ``Circuit.instructions``
 ==========  ==========================================================
 
 Run it over the tree with ``python -m tools.check src/ tests/

@@ -534,6 +534,64 @@ class StrictJsonWriters(Rule):
                 )
 
 
+def _names_instructions(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "instructions"
+
+
+class CircuitInstructionsThroughAppend(Rule):
+    """REP010 — only ``sim/circuit.py`` mutates ``Circuit.instructions``.
+
+    ``Circuit.compiled()`` caches the layered program on the instruction
+    count, and ``Circuit.append`` enforces what the per-layer updates
+    rely on: no qubit twice in an ``H``, ``CX`` or noise instruction,
+    and noise probabilities in [0, 1].  A ``circuit.instructions.append``
+    (or any other list mutator, item or slice assignment, ``del``,
+    ``+=``) under ``src/`` bypasses both, and an edit that keeps the
+    length would even be served the stale compiled program.  The check
+    is syntactic: it flags those mutations of any attribute named
+    ``instructions``.
+    """
+
+    code = "REP010"
+    summary = "only src/repro/sim/circuit.py mutates Circuit.instructions"
+
+    _MUTATORS = frozenset(
+        {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+    )
+    message = (
+        "mutates Circuit.instructions outside sim/circuit.py, bypassing "
+        "Circuit.append's checks and the compiled-program cache; build "
+        "circuits with append, the gate helpers and Circuit.replay"
+    )
+
+    def applies(self, relpath: str) -> bool:
+        return relpath.startswith("src/") and relpath != "src/repro/sim/circuit.py"
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in self._MUTATORS
+                    and _names_instructions(func.value)
+                ):
+                    yield self.finding(ctx, node, self.message)
+                continue
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if (
+                    isinstance(target, ast.Subscript)
+                    and _names_instructions(target.value)
+                ) or (isinstance(node, ast.AugAssign) and _names_instructions(target)):
+                    yield self.finding(ctx, node, self.message)
+
+
 ALL_RULES: tuple[Rule, ...] = (
     NoNetworkxInHotPaths(),
     DurableWritesThroughStore(),
@@ -544,4 +602,5 @@ ALL_RULES: tuple[Rule, ...] = (
     WordPackedDedup(),
     CanonicalWorkerSpelling(),
     StrictJsonWriters(),
+    CircuitInstructionsThroughAppend(),
 )
